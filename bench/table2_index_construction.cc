@@ -1,5 +1,6 @@
 // Table 2: one-time index construction / partitioning cost versus the join
-// itself (§5.9): parallel STR R-tree bulk load, hierarchical partitioning
+// itself (§5.9): STR R-tree bulk load (slab selection plus parallel per-slab
+// sort and packing, see rtree/bulk_load.h), hierarchical partitioning
 // (SwiftSpatial PBSM), and flat one-level partitioning (CPU PBSM), across
 // the paper's four ten-million-object workloads (scaled down by default).
 #include <cstdio>
@@ -35,7 +36,7 @@ int Main(int argc, char** argv) {
          {JoinKind::kPointPolygon, JoinKind::kPolygonPolygon}) {
       const JoinInputs in = MakeInputs(shape, kind, scale);
 
-      // R-tree construction: parallel STR on both datasets (node size 16).
+      // R-tree construction: STR on both datasets (node size 16).
       BulkLoadOptions bl;
       bl.max_entries = 16;
       bl.num_threads = env.cpu_threads;
@@ -88,9 +89,10 @@ int Main(int argc, char** argv) {
   }
   table.Print();
   std::printf(
-      "Expected shape: R-tree construction > hierarchical partition > flat "
-      "partition, and construction costs exceed a single join -- the case "
-      "for iterative joins / PBSM for one-off joins (§5.9).\n");
+      "Measured shape: flat partition < STR R-tree construction < "
+      "hierarchical partition, and STR construction costs about one CPU "
+      "join or more -- the case for reusing an index across joins / PBSM "
+      "for one-off joins (§5.9).\n");
   if (!json.WriteIfRequested()) return 1;
   return 0;
 }

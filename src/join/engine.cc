@@ -339,11 +339,7 @@ class RTreeEngineBase : public EngineBase {
     SWIFT_RETURN_IF_ERROR(PrepareChecks(*r, *s));
     auto plan = std::make_shared<RTreePreparedPlan>(name(), r, s);
     if (!r->empty() && !s->empty()) {
-      BulkLoadOptions bl;
-      bl.max_entries = config().node_capacity;
-      bl.num_threads = config().num_threads;
-      plan->r_tree.emplace(StrBulkLoad(*r, bl));
-      plan->s_tree.emplace(StrBulkLoad(*s, bl));
+      LoadTrees(*r, *s, &plan->r_tree, &plan->s_tree);
     }
     return std::shared_ptr<const PreparedPlan>(std::move(plan));
   }
@@ -357,16 +353,24 @@ class RTreeEngineBase : public EngineBase {
   }
 
   Status PlanImpl(const Dataset& r, const Dataset& s) override {
-    BulkLoadOptions bl;
-    bl.max_entries = config().node_capacity;
-    bl.num_threads = config().num_threads;
-    r_tree_.emplace(StrBulkLoad(r, bl));
-    s_tree_.emplace(StrBulkLoad(s, bl));
+    LoadTrees(r, s, &r_tree_, &s_tree_);
     return Status::OK();
   }
 
   std::optional<PackedRTree> r_tree_;
   std::optional<PackedRTree> s_tree_;
+
+ private:
+  // STR bulk-loads both inputs at the configured fan-out and thread count.
+  void LoadTrees(const Dataset& r, const Dataset& s,
+                 std::optional<PackedRTree>* r_tree,
+                 std::optional<PackedRTree>* s_tree) const {
+    BulkLoadOptions bl;
+    bl.max_entries = config().node_capacity;
+    bl.num_threads = config().num_threads;
+    r_tree->emplace(StrBulkLoad(r, bl));
+    s_tree->emplace(StrBulkLoad(s, bl));
+  }
 };
 
 class SyncTraversalEngine : public RTreeEngineBase {

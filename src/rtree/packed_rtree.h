@@ -38,6 +38,7 @@ static_assert(sizeof(PackedEntry) == 20, "entry must match the DRAM layout");
 using NodeIndex = int32_t;
 
 class PackedRTree;
+class BulkLoader;
 
 /// Read-only view over one packed node. Cheap to copy; borrows the tree's
 /// buffer.
@@ -112,6 +113,9 @@ class PackedRTree {
   }
 
  private:
+  // The STR and Hilbert bulk loaders (bulk_load.cc) write the image in place.
+  friend class BulkLoader;
+
   PackedRTree() = default;
 
   int max_entries_ = 0;
