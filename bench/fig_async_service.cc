@@ -2,8 +2,8 @@
 // subsystem.
 //
 // Part 1 -- plan/execute overlap. The synchronous "partitioned" engine pays
-// Plan (grid assignment) and Execute (cell joins) strictly in sequence; the
-// "async" engine runs the same join through the banded streaming executor,
+// Plan (grid assignment) and Execute (cell joins) strictly in sequence;
+// RunJoinAsync runs the same engine through the banded streaming executor,
 // where each row band's assignment is a TaskGraph task that spawns its cell
 // joins dynamically -- so band k+1 is still partitioning while band k's
 // cells already join. On any >= 2-shard workload the async wall-clock must
@@ -83,8 +83,8 @@ void RunOverlapSection(const BenchEnv& env, JsonReporter* json) {
     const double async_wall = MedianSeconds(
         [&] {
           Stopwatch sw;
-          auto handle =
-              exec::RunJoinAsync(kAsyncEngine, in.r, in.s, config, stream);
+          auto handle = exec::RunJoinAsync(kPartitionedEngine, in.r, in.s,
+                                           config, stream);
           if (!handle.ok()) {
             std::fprintf(stderr, "async run failed: %s\n",
                          handle.status().ToString().c_str());
@@ -204,7 +204,7 @@ ServiceRunMetrics ServeBurst(const Dataset& r, const Dataset& s,
   m.throughput_rps = requests / m.wall_seconds;
   m.p50_ms = Percentile(latencies, 0.50) * 1e3;
   m.p99_ms = Percentile(latencies, 0.99) * 1e3;
-  m.max_pending_seen = service.stats().max_pending_seen;
+  m.max_pending_seen = service.Snapshot().max_pending_seen;
   return m;
 }
 
@@ -375,7 +375,7 @@ void RunWarmServingSection(const BenchEnv& env, uint64_t scale,
                 {"plan_p50_seconds", warm_plan_p50 * 1e-3},
                 {"throughput_rps", samples / warm_wall_s}});
 
-  const auto cache = service.stats().plan_cache;
+  const auto cache = service.Snapshot().plan_cache;
   std::printf("plan cache: %zu hits / %zu misses, %zu invalidated, "
               "%zu bytes resident\n",
               cache.hits, cache.misses, cache.invalidated,

@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
                 doomed.status().ToString().c_str());
   }
 
-  const exec::JoinServiceStats stats = service.stats();
+  const exec::JoinServiceStats stats = service.Snapshot();
   std::printf("\nplan cache: %zu hits / %zu misses, %zu invalidated, "
               "%zu bytes resident across %zu entries\n",
               stats.plan_cache.hits, stats.plan_cache.misses,

@@ -1,13 +1,34 @@
 #include "dist/dist_engine.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "join/partitioned_driver.h"
 
 namespace swiftspatial::dist {
 
 namespace {
+
+// Data-independent cluster config checks.
+Status ValidateDistConfig(const EngineConfig& config) {
+  if (config.num_threads < 1) {
+    return Status::InvalidArgument("num_threads must be >= 1");
+  }
+  if (config.dist_nodes < 1) {
+    return Status::InvalidArgument("dist_nodes must be >= 1");
+  }
+  SWIFT_RETURN_IF_ERROR(
+      ValidateGridConfig(config.grid_cols, config.grid_rows));
+  if (config.accel_join_units < 0) {
+    return Status::InvalidArgument("accel_join_units must be >= 0");
+  }
+  if (config.accel_tile_cap < 1) {
+    return Status::InvalidArgument("accel_tile_cap must be >= 1");
+  }
+  return Status::OK();
+}
 
 DistJoinOptions OptionsFromConfig(const EngineConfig& config,
                                   bool use_accel) {
@@ -63,10 +84,12 @@ class DistEngineImpl : public DistJoinEngine {
 
   const std::string& name() const override { return name_; }
 
+  Status ValidateConfig() override { return ValidateDistConfig(config_); }
+
   Result<std::shared_ptr<const PreparedPlan>> Prepare(
       std::shared_ptr<const Dataset> r,
       std::shared_ptr<const Dataset> s) override {
-    SWIFT_RETURN_IF_ERROR(ValidateDistConfig(config_));
+    SWIFT_RETURN_IF_ERROR(ValidateConfig());
     if (config_.validate_inputs) {
       SWIFT_RETURN_IF_ERROR(r->ValidateBoxes());
       SWIFT_RETURN_IF_ERROR(s->ValidateBoxes());
@@ -111,7 +134,7 @@ class DistEngineImpl : public DistJoinEngine {
   }
 
   Status Plan(const Dataset& r, const Dataset& s) override {
-    SWIFT_RETURN_IF_ERROR(ValidateDistConfig(config_));
+    SWIFT_RETURN_IF_ERROR(ValidateConfig());
     if (config_.validate_inputs) {
       SWIFT_RETURN_IF_ERROR(r.ValidateBoxes());
       SWIFT_RETURN_IF_ERROR(s.ValidateBoxes());
@@ -141,8 +164,9 @@ class DistEngineImpl : public DistJoinEngine {
     return Status::OK();
   }
 
-  Status ExecuteStreaming(const ShardSink& sink, JoinStats* stats,
-                          exec::CancellationToken cancel) override {
+  Status ExecuteStreaming(const ResultSink& sink, JoinStats* stats,
+                          exec::CancellationToken cancel,
+                          obs::ResourceAccumulator* usage) override {
     if (!planned_) {
       return Status::Internal(
           "ExecuteStreaming called before a successful Plan");
@@ -151,11 +175,19 @@ class DistEngineImpl : public DistJoinEngine {
       return Status::InvalidArgument(
           "ExecuteStreaming requires a callable sink");
     }
+    const ShardSink shard_sink = [&sink](int, std::vector<ResultPair> pairs) {
+      sink(std::move(pairs));
+    };
     auto report = RunPlannedJoin(*r_, *s_, plan_, options_,
-                                 /*result=*/nullptr, stats, sink,
+                                 /*result=*/nullptr, stats, shard_sink,
                                  std::move(cancel));
     if (!report.ok()) return report.status();
     report_ = std::move(*report);
+    // Shard retries are this run's fault-recovery cost; surface them in the
+    // caller's per-request accounting alongside CPU and bytes.
+    if (usage != nullptr) {
+      usage->AddRetries(static_cast<uint64_t>(report_.retried_shards));
+    }
     return Status::OK();
   }
 
@@ -173,28 +205,6 @@ class DistEngineImpl : public DistJoinEngine {
 };
 
 }  // namespace
-
-bool IsDistEngine(const std::string& name) {
-  return name == kDistPbsmEngine || name == kDistAccelEngine;
-}
-
-Status ValidateDistConfig(const EngineConfig& config) {
-  if (config.num_threads < 1) {
-    return Status::InvalidArgument("num_threads must be >= 1");
-  }
-  if (config.dist_nodes < 1) {
-    return Status::InvalidArgument("dist_nodes must be >= 1");
-  }
-  SWIFT_RETURN_IF_ERROR(
-      ValidateGridConfig(config.grid_cols, config.grid_rows));
-  if (config.accel_join_units < 0) {
-    return Status::InvalidArgument("accel_join_units must be >= 0");
-  }
-  if (config.accel_tile_cap < 1) {
-    return Status::InvalidArgument("accel_tile_cap must be >= 1");
-  }
-  return Status::OK();
-}
 
 Result<std::unique_ptr<DistJoinEngine>> MakeDistEngine(
     const std::string& name, const EngineConfig& config) {

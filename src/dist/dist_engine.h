@@ -10,10 +10,11 @@
 //               x M-unit devices over arbitrary shard placement.
 //
 // Plan runs the ShardPlanner (grid + placement); Execute spins the
-// in-process cluster and merges. Beyond the JoinEngine contract the typed
-// handle exposes ExecuteStreaming -- committed shards surface through a
-// ShardSink as they merge, with a cancellation token that stops the cluster
-// mid-exchange -- and last_report(), the DistReport of the most recent run.
+// in-process cluster and merges. The JoinEngine::ExecuteStreaming override
+// hands each shard's pairs to the sink as the merge coordinator commits it;
+// its cancellation token stops the cluster mid-exchange, and shard retries
+// reach the caller's resource accumulator. The typed handle adds
+// last_report(), the DistReport of the most recent run.
 #ifndef SWIFTSPATIAL_DIST_DIST_ENGINE_H_
 #define SWIFTSPATIAL_DIST_DIST_ENGINE_H_
 
@@ -26,19 +27,13 @@
 
 namespace swiftspatial::dist {
 
-/// JoinEngine extended with the cluster's streaming face and run report.
-/// Lifecycle as JoinEngine: Plan once (shard planning + placement), then
-/// Execute / ExecuteStreaming any number of times -- each run spins a fresh
-/// cluster over the same immutable plan.
+/// JoinEngine extended with the cluster's run report. Lifecycle as
+/// JoinEngine: Plan once (shard planning + placement), then Execute /
+/// ExecuteStreaming any number of times -- each run spins a fresh cluster
+/// over the same immutable plan. Under cancellation, the shards already
+/// delivered by ExecuteStreaming remain a well-defined prefix.
 class DistJoinEngine : public JoinEngine {
  public:
-  /// Like Execute, but hands each committed shard's pairs to `sink` as the
-  /// merge coordinator commits it (stable shard ids; commit order).
-  /// `cancel` stops the cluster mid-exchange: delivered shards remain a
-  /// well-defined prefix and the call returns Aborted.
-  virtual Status ExecuteStreaming(const ShardSink& sink, JoinStats* stats,
-                                  exec::CancellationToken cancel) = 0;
-
   /// Report of the most recent Execute/ExecuteStreaming.
   const DistReport& last_report() const { return report_; }
 
@@ -49,16 +44,9 @@ class DistJoinEngine : public JoinEngine {
   DistReport report_;
 };
 
-/// True for the engine names backed by the cluster runtime.
-bool IsDistEngine(const std::string& name);
-
-/// Data-independent config checks shared by Plan and the streaming layer's
-/// fail-fast path.
-Status ValidateDistConfig(const EngineConfig& config);
-
 /// Instantiates one of the distributed engines directly -- the typed handle
-/// (ExecuteStreaming, last_report) the plain registry interface erases.
-/// NotFound for names IsDistEngine rejects.
+/// (last_report, plan) the plain registry interface erases. NotFound for
+/// names other than dist-pbsm and dist-accel.
 Result<std::unique_ptr<DistJoinEngine>> MakeDistEngine(
     const std::string& name, const EngineConfig& config);
 

@@ -29,7 +29,7 @@
 // -- and every request after the first skips Plan entirely: the producer
 // fetches the cached PreparedPlan (packed R-trees, grid assignments,
 // ShardPlans) and goes straight to execution. Cache effectiveness shows up
-// in stats().plan_cache.
+// in Snapshot().plan_cache.
 //
 // Scheduling policies:
 //  - kFcfs: strict arrival order. Simple, but one tenant's burst of long
@@ -243,11 +243,6 @@ class JoinService {
   /// registry's internal lock; the registry never locks back into the
   /// service, so the order is acyclic).
   JoinServiceStats Snapshot() const EXCLUDES(mu_);
-
-  /// Deprecated: use Snapshot(). Kept as an alias for older callers; the
-  /// piecemeal read it used to do (service counters and plan-cache counters
-  /// under separate locks) could tear between the two.
-  JoinServiceStats stats() const EXCLUDES(mu_) { return Snapshot(); }
 
   /// Prometheus text exposition of the backing MetricsRegistry, with the
   /// service's point-in-time gauges (pending, running, max_pending_seen)

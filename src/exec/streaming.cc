@@ -9,13 +9,11 @@
 #include "common/logging.h"
 #include "common/sync.h"
 #include "common/stopwatch.h"
-#include "obs/log.h"
-#include "dist/dist_engine.h"
 #include "exec/task_graph.h"
 #include "grid/uniform_grid.h"
-#include "join/accel_engine.h"
 #include "join/partitioned_driver.h"
 #include "join/pbsm.h"
+#include "obs/log.h"
 
 namespace swiftspatial::exec {
 
@@ -160,7 +158,7 @@ class StreamState {
                    const StageTiming& timing) REQUIRES(mu_) {
     closed_ = true;
     // A CancelWith stamp overrides the generic cancellation status (every
-    // producer flavour closes a cancelled stream with kAborted). Genuine
+    // producer closes a cancelled stream with kAborted). Genuine
     // errors and normal completion pass through untouched.
     if (status_override_.has_value() &&
         status.code() == StatusCode::kAborted) {
@@ -268,7 +266,7 @@ struct PlacedObject {
   int tx0, ty0, tx1, ty1;
 };
 
-// The native streaming producer: banded plan/execute overlap on a TaskGraph.
+// The banded grid producer: plan/execute overlap on a TaskGraph.
 //
 // Serial prologue (the only part ordered before everything): compute the
 // extent, size the grid, and bucket both inputs into contiguous row bands by
@@ -279,8 +277,7 @@ struct PlacedObject {
 // reference-point rule against the same global grid tiles as the
 // synchronous driver, which is why the output multiset is identical.
 void RunNativeProducer(const Dataset& r, const Dataset& s, EngineConfig config,
-                       TileJoin tile_join, StreamOptions opts,
-                       ThreadPool* shared_pool,
+                       StreamOptions opts, ThreadPool* shared_pool,
                        std::shared_ptr<StreamState> state) {
   StageTiming timing;
   Stopwatch plan_sw;
@@ -415,7 +412,7 @@ void RunNativeProducer(const Dataset& r, const Dataset& s, EngineConfig config,
           WorkerSlot& slot = slots[pool->CurrentWorkerIndex()];
           for (std::size_t i = g; i < cells->size(); i += groups) {
             const CellWork& work = (*cells)[i];
-            RunTileJoin(tile_join, r, s, work.r_ids, work.s_ids,
+            RunTileJoin(config.tile_join, r, s, work.r_ids, work.s_ids,
                         &work.dedup_tile, &slot.buffer, &slot.stats);
             // Stream full chunks as soon as they exist; stop early if the
             // consumer cancelled.
@@ -461,9 +458,9 @@ void RunNativeProducer(const Dataset& r, const Dataset& s, EngineConfig config,
 // stream queue: batches accumulate in a staging buffer and full chunks are
 // carved from the back (order across chunks is irrelevant -- the result is
 // a multiset; carving the front would shift the residue on every carve).
-// Shared by the accelerator and cluster producers, whose native batch
-// granularities (write-unit bursts, committed shards) are unbounded in
-// both directions.
+// Every batch of the engine producer passes through it, whatever its native
+// granularity (a finished result, write-unit bursts, committed shards), so
+// chunk sizes stay bounded in both directions.
 class ChunkStager {
  public:
   ChunkStager(std::size_t chunk_pairs, StreamState* state)
@@ -504,33 +501,50 @@ class ChunkStager {
   bool push_failed_ = false;
 };
 
-// The accelerator producer: the simulated device streams natively. Plan
-// builds the device images (trees / partitions) on the producer thread;
-// Execute then runs the simulated kernel with a write-unit sink, so every
-// result-burst flush (a BFS level's leaf pairs, a PBSM tile batch, a
-// multi-device shard's deduplicated output) surfaces as bounded-queue
-// chunks while the simulation is still running -- the host-side consumer
-// overlaps with the device exactly as the paper's host/device split
-// intends. Device flushes are coalesced up to chunk_pairs (join units flush
-// partial bursts per task, so raw flushes can be tiny) and oversized
-// batches are split, so chunk sizes stay bounded in both directions.
-// Cancellation is cooperative at chunk granularity: the simulated kernel
-// itself runs to completion, further pushes are dropped, and the stream
-// closes Aborted.
-void RunAccelProducer(const std::string& name, const Dataset& r,
-                      const Dataset& s, const EngineConfig& config,
-                      StreamOptions opts,
-                      std::shared_ptr<StreamState> state) {
+// What the engine producer joins: caller-owned datasets (a cold stream) or
+// the names of datasets resident in a registry (a warm stream).
+struct EngineInputs {
+  const Dataset* r = nullptr;
+  const Dataset* s = nullptr;
+  DatasetRegistry* registry = nullptr;
+  std::string r_name;
+  std::string s_name;
+};
+
+// The engine producer, behind every stream but the banded grid one: get a
+// plan, execute, and feed every batch through one ChunkStager.
+//
+// A cold stream Plans the engine and calls ExecuteStreaming, so engines that
+// produce results incrementally stream while they run -- the simulated
+// device's write-unit bursts surface while its kernel still runs, the
+// cluster's committed shards while other nodes still join -- and every
+// other engine hands over its finished result. A warm stream fetches the
+// registry's cached PreparedPlan (on a hit the plan stage is just the
+// lookup), runs ExecutePrepared against it and streams the finished result;
+// the fetched plan pins its datasets, so a concurrent re-Put of either name
+// cannot pull the data out from under the join. The stream's token reaches
+// ExecuteStreaming (the cluster stops mid-exchange on it), and a cancelled
+// stream closes Aborted whether the engine stopped early or its remaining
+// batches were dropped.
+void RunEngineProducer(JoinEngine& engine, const EngineInputs& in,
+                       const EngineConfig& config, const StreamOptions& opts,
+                       StreamState* state) {
   StageTiming timing;
   Stopwatch sw;
-  auto created = MakeAccelEngine(name, config);
-  if (!created.ok()) {
-    state->Close(created.status(), JoinStats{}, timing);
-    return;
-  }
-  std::unique_ptr<AccelJoinEngine> engine = std::move(*created);
   obs::ScopedSpan plan_span(config.trace, "plan");
-  Status st = engine->Plan(r, s);
+  std::shared_ptr<const PreparedPlan> prepared;
+  Status st;
+  if (in.registry != nullptr) {
+    auto fetched =
+        in.registry->GetOrPrepare(engine.name(), in.r_name, in.s_name, config);
+    if (fetched.ok()) {
+      prepared = std::move(*fetched);
+    } else {
+      st = fetched.status();
+    }
+  } else {
+    st = engine.Plan(*in.r, *in.s);
+  }
   timing.plan_seconds = sw.ElapsedSeconds();
   plan_span.End();
   if (!st.ok()) {
@@ -542,14 +556,22 @@ void RunAccelProducer(const std::string& name, const Dataset& r,
                  timing);
     return;
   }
+
   obs::ScopedSpan exec_span(config.trace, "execute");
   sw.Reset();
   JoinStats stats;
-  ChunkStager stager(opts.chunk_pairs, state.get());
-  const AccelBatchSink sink = [&stager](std::vector<ResultPair> batch) {
+  ChunkStager stager(opts.chunk_pairs, state);
+  const ResultSink sink = [&stager](std::vector<ResultPair> batch) {
     stager.Add(std::move(batch));
   };
-  st = engine->ExecuteStreaming(sink, &stats);
+  if (prepared != nullptr) {
+    JoinResult result;
+    st = engine.ExecutePrepared(*prepared, &result, &stats);
+    if (st.ok()) sink(std::move(result.mutable_pairs()));
+  } else {
+    st = engine.ExecuteStreaming(sink, &stats, state->token(),
+                                 state->usage());
+  }
   if (st.ok()) stager.FlushTail();
   timing.execute_seconds = sw.ElapsedSeconds();
   if (stager.push_failed() || state->cancelled()) {
@@ -559,174 +581,11 @@ void RunAccelProducer(const std::string& name, const Dataset& r,
   state->Close(std::move(st), stats, timing);
 }
 
-// The cluster producer: the distributed engines stream natively. Plan runs
-// the ShardPlanner on the producer thread; ExecuteStreaming then spins the
-// in-process cluster with a shard sink, so every shard the merge
-// coordinator commits surfaces as bounded-queue chunks while other nodes
-// are still joining. Committed shards are coalesced up to chunk_pairs and
-// oversized shards split, bounding chunk sizes both ways. Cancellation is
-// cooperative through the cluster itself (the stream's token reaches the
-// exchange and node runtimes), so a cancelled consumer stops the whole
-// cluster, not just the chunk delivery.
-void RunDistProducer(const std::string& name, const Dataset& r,
-                     const Dataset& s, const EngineConfig& config,
-                     StreamOptions opts,
-                     std::shared_ptr<StreamState> state) {
-  StageTiming timing;
-  Stopwatch sw;
-  auto created = dist::MakeDistEngine(name, config);
-  if (!created.ok()) {
-    state->Close(created.status(), JoinStats{}, timing);
-    return;
-  }
-  std::unique_ptr<dist::DistJoinEngine> engine = std::move(*created);
-  obs::ScopedSpan plan_span(config.trace, "plan");
-  Status st = engine->Plan(r, s);
-  timing.plan_seconds = sw.ElapsedSeconds();
-  plan_span.End();
-  if (!st.ok()) {
-    state->Close(std::move(st), JoinStats{}, timing);
-    return;
-  }
-  if (state->cancelled()) {
-    state->Close(Status::Aborted("join cancelled mid-stream"), JoinStats{},
-                 timing);
-    return;
-  }
-  // The execute span is a sibling of the coordinator's merge span (both
-  // parented on the request): the engine froze its trace context at
-  // creation, before this span existed.
-  obs::ScopedSpan exec_span(config.trace, "execute");
-  sw.Reset();
-  JoinStats stats;
-  ChunkStager stager(opts.chunk_pairs, state.get());
-  const dist::ShardSink sink = [&stager](int, std::vector<ResultPair> batch) {
-    stager.Add(std::move(batch));
-  };
-  st = engine->ExecuteStreaming(sink, &stats, state->token());
-  if (st.ok()) stager.FlushTail();
-  timing.execute_seconds = sw.ElapsedSeconds();
-  // Shard retries are this request's fault-recovery cost; surface them in
-  // the per-request accounting alongside CPU and bytes.
-  state->usage()->AddRetries(
-      static_cast<uint64_t>(engine->last_report().retried_shards));
-  if (stager.push_failed() || state->cancelled()) {
-    state->Close(Status::Aborted("join cancelled mid-stream"), stats, timing);
-    return;
-  }
-  state->Close(std::move(st), stats, timing);
-}
-
-// The generic producer: any registered engine runs Plan -> Execute on the
-// producer thread and the finished result streams out in chunks, giving the
-// whole registry one uniform streaming contract.
-void RunGenericProducer(std::shared_ptr<JoinEngine> engine, const Dataset& r,
-                        const Dataset& s, obs::TraceContext trace,
-                        StreamOptions opts,
-                        std::shared_ptr<StreamState> state) {
-  StageTiming timing;
-  Stopwatch sw;
-  obs::ScopedSpan plan_span(trace, "plan");
-  Status st = engine->Plan(r, s);
-  timing.plan_seconds = sw.ElapsedSeconds();
-  plan_span.End();
-  if (!st.ok()) {
-    state->Close(std::move(st), JoinStats{}, timing);
-    return;
-  }
-  if (state->cancelled()) {
-    state->Close(Status::Aborted("join cancelled mid-stream"), JoinStats{},
-                 timing);
-    return;
-  }
-  obs::ScopedSpan exec_span(trace, "execute");
-  sw.Reset();
-  JoinResult result;
-  JoinStats stats;
-  st = engine->Execute(&result, &stats);
-  timing.execute_seconds = sw.ElapsedSeconds();
-  exec_span.End();
-  if (!st.ok()) {
-    state->Close(std::move(st), stats, timing);
-    return;
-  }
-  const std::vector<ResultPair>& pairs = result.pairs();
-  const std::size_t chunk_pairs = std::max<std::size_t>(1, opts.chunk_pairs);
-  for (std::size_t off = 0; off < pairs.size(); off += chunk_pairs) {
-    const std::size_t end = std::min(off + chunk_pairs, pairs.size());
-    if (!state->Push({pairs.begin() + off, pairs.begin() + end})) {
-      state->Close(Status::Aborted("join cancelled mid-stream"), stats,
-                   timing);
-      return;
-    }
-  }
-  state->Close(Status::OK(), stats, timing);
-}
-
-// The warm-path producer: plan artifacts come from the registry's cache, so
-// on a hit the "plan" stage is just the cache lookup (plan_seconds ~ 0) and
-// execution starts immediately against the shared, immutable PreparedPlan.
-// The finished result streams out in chunks like the generic path; the
-// fetched plan pins its datasets for the whole execution, so a concurrent
-// re-Put of either name cannot pull the data out from under the join.
-void RunRegisteredProducer(DatasetRegistry* registry, std::string engine,
-                           std::string r_name, std::string s_name,
-                           EngineConfig config, StreamOptions opts,
-                           std::shared_ptr<StreamState> state) {
-  StageTiming timing;
-  Stopwatch sw;
-  obs::ScopedSpan plan_span(config.trace, "plan");
-  auto prepared = registry->GetOrPrepare(engine, r_name, s_name, config);
-  timing.plan_seconds = sw.ElapsedSeconds();
-  plan_span.End();
-  if (!prepared.ok()) {
-    state->Close(prepared.status(), JoinStats{}, timing);
-    return;
-  }
-  if (state->cancelled()) {
-    state->Close(Status::Aborted("join cancelled mid-stream"), JoinStats{},
-                 timing);
-    return;
-  }
-  obs::ScopedSpan exec_span(config.trace, "execute");
-  sw.Reset();
-  auto created = EngineRegistry::Global().Create(engine, config);
-  if (!created.ok()) {
-    state->Close(created.status(), JoinStats{}, StageTiming{});
-    return;
-  }
-  JoinResult result;
-  JoinStats stats;
-  Status st = (*created)->ExecutePrepared(**prepared, &result, &stats);
-  timing.execute_seconds = sw.ElapsedSeconds();
-  exec_span.End();
-  if (!st.ok()) {
-    state->Close(std::move(st), stats, timing);
-    return;
-  }
-  const std::vector<ResultPair>& pairs = result.pairs();
-  const std::size_t chunk_pairs = std::max<std::size_t>(1, opts.chunk_pairs);
-  for (std::size_t off = 0; off < pairs.size(); off += chunk_pairs) {
-    const std::size_t end = std::min(off + chunk_pairs, pairs.size());
-    if (!state->Push({pairs.begin() + off, pairs.begin() + end})) {
-      state->Close(Status::Aborted("join cancelled mid-stream"), stats,
-                   timing);
-      return;
-    }
-  }
-  state->Close(Status::OK(), stats, timing);
-}
-
-bool IsNativeStreamingEngine(const std::string& name) {
-  return name == kPartitionedEngine || name == kSimdEngine ||
-         name == kAsyncEngine;
-}
-
-// Fault containment for every producer flavour: a producer that throws
-// (misbehaving engine code, bad_alloc under pressure) must still close the
-// stream with a non-OK status -- the alternative is an uncaught exception
-// tearing the process down, or (if swallowed carelessly) consumers blocked
-// in Next()/Wait() forever on a stream nobody will ever close.
+// Fault containment for both producers: a producer that throws (misbehaving
+// engine code, bad_alloc under pressure) must still close the stream with a
+// non-OK status -- the alternative is an uncaught exception tearing the
+// process down, or (if swallowed carelessly) consumers blocked in
+// Next()/Wait() forever on a stream nobody will ever close.
 std::function<void()> ContainFaults(std::function<void()> body,
                                     std::shared_ptr<StreamState> state) {
   return [body = std::move(body), state = std::move(state)] {
@@ -771,72 +630,77 @@ std::function<void()> InstrumentProducer(std::string engine,
   };
 }
 
-// The same fail-fast grid checks PartitionedDriver::Plan applies, so
-// RunJoinAsync rejects bad grids before spawning a producer and the
-// sync/streaming paths cannot drift apart.
-Status ValidateNativeConfig(const EngineConfig& config) {
-  return ValidateGridConfig(config.grid_cols, config.grid_rows);
+// The fail-fast every stream entry point runs before a producer exists:
+// unknown engines are NotFound, and configuration errors the engine can see
+// without the data (JoinEngine::ValidateConfig) are InvalidArgument.
+Result<std::shared_ptr<JoinEngine>> CreateValidated(
+    const std::string& engine, const EngineConfig& config) {
+  if (config.num_threads < 1) {
+    return Status::InvalidArgument("num_threads must be >= 1");
+  }
+  auto created = EngineRegistry::Global().Create(engine, config);
+  if (!created.ok()) return created.status();
+  SWIFT_RETURN_IF_ERROR((*created)->ValidateConfig());
+  return std::shared_ptr<JoinEngine>(std::move(*created));
 }
 
-// The "async" registry entry: Plan validates, Execute runs the native
-// streaming pipeline and Collect()s it. Registering this class is what puts
-// the entire streaming machinery -- producer thread, banded TaskGraph,
-// bounded chunk queue, Collect -- under the equivalence oracle.
-class AsyncCollectEngine : public JoinEngine {
- public:
-  explicit AsyncCollectEngine(const EngineConfig& config) : config_(config) {}
+}  // namespace
 
-  const std::string& name() const override {
-    static const std::string kName(kAsyncEngine);
-    return kName;
+namespace internal {
+
+// The one place that builds handles and starts producers.
+struct StreamAccess {
+  // Wraps the producer body `run` into the DeferredStream every entry point
+  // returns: fault containment, per-engine metrics, the abandon guard,
+  // cancel_with and the usage alias.
+  static DeferredStream Defer(
+      const std::string& engine, const StreamOptions& stream,
+      std::function<void(const std::shared_ptr<StreamState>&)> run) {
+    auto state = std::make_shared<StreamState>(stream.queue_capacity);
+    // Safety net owned by the producer/abandon closures: if a caller drops
+    // both without invoking either (an early-return error path), the last
+    // closure's destruction closes the stream so consumers blocked in
+    // Next()/Wait() -- including ~AsyncJoinHandle -- never hang.
+    auto guard = std::shared_ptr<void>(nullptr, [state](void*) {
+      state->CloseIfOpen(
+          Status::Aborted("stream dropped without running the producer"));
+    });
+    std::function<void()> producer = [run = std::move(run), state, guard] {
+      run(state);
+    };
+    producer = InstrumentProducer(engine, stream.metrics,
+                                  ContainFaults(std::move(producer), state),
+                                  state);
+    auto abandon = [state, guard](Status status) {
+      state->CloseIfOpen(std::move(status));
+    };
+    // Deliberately does NOT co-own the abandon guard: a caller that drops
+    // the producer and abandon closures must close the stream even while a
+    // watchdog still holds cancel_with (cancelling a closed stream is a
+    // no-op).
+    auto cancel_with = [state](Status status) {
+      state->CancelWith(std::move(status));
+    };
+    guard.reset();  // closures now co-own the safety net
+    auto usage =
+        std::shared_ptr<obs::ResourceAccumulator>(state, state->usage());
+    return DeferredStream{AsyncJoinHandle(state, std::thread()),
+                          std::move(producer), std::move(abandon),
+                          std::move(cancel_with), state->token(),
+                          std::move(usage)};
   }
 
-  Status Plan(const Dataset& r, const Dataset& s) override {
-    if (config_.num_threads < 1) {
-      return Status::InvalidArgument("num_threads must be >= 1");
-    }
-    SWIFT_RETURN_IF_ERROR(ValidateNativeConfig(config_));
-    if (config_.validate_inputs) {
-      SWIFT_RETURN_IF_ERROR(r.ValidateBoxes());
-      SWIFT_RETURN_IF_ERROR(s.ValidateBoxes());
-    }
-    r_ = &r;
-    s_ = &s;
-    planned_ = true;
-    // No index/partition build here: the banded planner runs inside
-    // Execute, overlapped with the joins it feeds -- that overlap is the
-    // engine's whole reason to exist.
-    return Status::OK();
+  // Runs a deferred stream's producer on a dedicated thread owned by the
+  // returned handle.
+  static Result<AsyncJoinHandle> Start(Result<DeferredStream> deferred) {
+    if (!deferred.ok()) return deferred.status();
+    DeferredStream d = std::move(*deferred);
+    d.handle.producer_ = std::thread(std::move(d.producer));
+    return std::move(d.handle);
   }
-
-  Status Execute(JoinResult* out, JoinStats* stats) override {
-    if (!planned_) {
-      return Status::Internal("Execute called before a successful Plan");
-    }
-    if (out == nullptr) {
-      return Status::InvalidArgument("Execute requires a non-null result");
-    }
-    *out = JoinResult();
-    if (r_->empty() || s_->empty()) return Status::OK();
-    EngineConfig config = config_;
-    config.validate_inputs = false;  // already validated at Plan
-    auto handle = RunJoinAsync(kAsyncEngine, *r_, *s_, config);
-    if (!handle.ok()) return handle.status();
-    StreamSummary summary = handle->Collect();
-    if (!summary.status.ok()) return summary.status;
-    *out = std::move(summary.run.result);
-    if (stats != nullptr) *stats += summary.run.stats;
-    return Status::OK();
-  }
-
- private:
-  EngineConfig config_;
-  const Dataset* r_ = nullptr;
-  const Dataset* s_ = nullptr;
-  bool planned_ = false;
 };
 
-}  // namespace
+}  // namespace internal
 
 AsyncJoinHandle::AsyncJoinHandle(std::shared_ptr<internal::StreamState> state,
                                  std::thread producer)
@@ -848,7 +712,7 @@ void AsyncJoinHandle::Teardown() {
   // their memory, then wait for the stream to close -- either our own
   // producer thread finishing, or the serving layer running/abandoning a
   // deferred job (every created stream is guaranteed one of the two; see
-  // the abandon guard in MakeJoinStream).
+  // the abandon guard in StreamAccess::Defer).
   state_->Cancel();
   ResultChunk sink;
   while (state_->Pop(&sink)) {
@@ -914,80 +778,36 @@ Result<DeferredStream> MakeJoinStream(const std::string& engine,
                                       const EngineConfig& config,
                                       const StreamOptions& stream,
                                       ThreadPool* pool) {
-  if (config.num_threads < 1) {
-    return Status::InvalidArgument("num_threads must be >= 1");
+  auto created = CreateValidated(engine, config);
+  if (!created.ok()) return created.status();
+  // The one engine routed by name: "partitioned" streams through the banded
+  // grid producer, whose plan/execute overlap and shared-pool scheduling a
+  // plan-then-ExecuteStreaming engine cannot express.
+  if (engine == kPartitionedEngine) {
+    return internal::StreamAccess::Defer(
+        engine, stream,
+        [&r, &s, config, stream,
+         pool](const std::shared_ptr<StreamState>& state) {
+          RunNativeProducer(r, s, config, stream, pool, state);
+        });
   }
-  auto state = std::make_shared<StreamState>(stream.queue_capacity);
-  // Safety net owned by the producer/abandon closures: if a caller drops
-  // both without invoking either (an early-return error path), the last
-  // closure's destruction closes the stream so consumers blocked in
-  // Next()/Wait() -- including ~AsyncJoinHandle -- never hang.
-  auto guard = std::shared_ptr<void>(nullptr, [state](void*) {
-    state->CloseIfOpen(
-        Status::Aborted("stream dropped without running the producer"));
-  });
-  std::function<void()> producer;
-  if (IsNativeStreamingEngine(engine)) {
-    SWIFT_RETURN_IF_ERROR(ValidateNativeConfig(config));
-    const TileJoin tile_join =
-        engine == kSimdEngine ? TileJoin::kSimd : config.tile_join;
-    producer = [&r, &s, config, tile_join, stream, pool, state, guard] {
-      RunNativeProducer(r, s, config, tile_join, stream, pool, state);
-    };
-  } else if (IsAccelEngine(engine)) {
-    // The simulated device is single-threaded and ignores `pool`; its
-    // chunks surface straight from the write unit (see RunAccelProducer).
-    SWIFT_RETURN_IF_ERROR(ValidateAccelConfig(config));
-    producer = [engine, &r, &s, config, stream, state, guard] {
-      RunAccelProducer(engine, r, s, config, stream, state);
-    };
-  } else if (dist::IsDistEngine(engine)) {
-    // The cluster owns its node pools and ignores `pool`; committed shards
-    // surface straight from the merge coordinator (see RunDistProducer).
-    SWIFT_RETURN_IF_ERROR(dist::ValidateDistConfig(config));
-    producer = [engine, &r, &s, config, stream, state, guard] {
-      RunDistProducer(engine, r, s, config, stream, state);
-    };
-  } else {
-    auto created = EngineRegistry::Global().Create(engine, config);
-    if (!created.ok()) return created.status();
-    std::shared_ptr<JoinEngine> eng = std::move(*created);
-    producer = [eng, &r, &s, trace = config.trace, stream, state, guard] {
-      RunGenericProducer(eng, r, s, trace, stream, state);
-    };
-  }
-  producer = InstrumentProducer(engine, stream.metrics,
-                                ContainFaults(std::move(producer), state),
-                                state);
-  auto abandon = [state, guard](Status status) {
-    state->CloseIfOpen(std::move(status));
-  };
-  // Deliberately does NOT co-own the abandon guard: a caller that drops the
-  // producer and abandon closures must close the stream even while a
-  // watchdog still holds cancel_with (cancelling a closed stream is a
-  // no-op).
-  auto cancel_with = [state](Status status) {
-    state->CancelWith(std::move(status));
-  };
-  guard.reset();  // closures now co-own the safety net
-  auto usage =
-      std::shared_ptr<obs::ResourceAccumulator>(state, state->usage());
-  return DeferredStream{AsyncJoinHandle(state, std::thread()),
-                        std::move(producer), std::move(abandon),
-                        std::move(cancel_with), state->token(),
-                        std::move(usage)};
+  EngineInputs in;
+  in.r = &r;
+  in.s = &s;
+  return internal::StreamAccess::Defer(
+      engine, stream,
+      [eng = std::move(*created), in, config,
+       stream](const std::shared_ptr<StreamState>& state) {
+        RunEngineProducer(*eng, in, config, stream, state.get());
+      });
 }
 
 Result<AsyncJoinHandle> RunJoinAsync(const std::string& engine,
                                      const Dataset& r, const Dataset& s,
                                      const EngineConfig& config,
                                      const StreamOptions& stream) {
-  auto deferred = MakeJoinStream(engine, r, s, config, stream,
-                                 /*pool=*/nullptr);
-  if (!deferred.ok()) return deferred.status();
-  DeferredStream d = std::move(*deferred);
-  d.handle.producer_ = std::thread(std::move(d.producer));
-  return std::move(d.handle);
+  return internal::StreamAccess::Start(
+      MakeJoinStream(engine, r, s, config, stream, /*pool=*/nullptr));
 }
 
 Result<DeferredStream> MakeRegisteredJoinStream(
@@ -998,50 +818,26 @@ Result<DeferredStream> MakeRegisteredJoinStream(
     return Status::InvalidArgument(
         "MakeRegisteredJoinStream requires a registry");
   }
-  if (config.num_threads < 1) {
-    return Status::InvalidArgument("num_threads must be >= 1");
-  }
-  // Fail fast on unknown engines and unregistered names, so admission-time
-  // callers (JoinService::SubmitNamed) can reject bad requests before
-  // queueing them. The producer re-resolves at run time and uses whatever
-  // version is then current.
-  if (!EngineRegistry::Global().Contains(engine)) {
-    return Status::NotFound("no registered engine: " + engine);
-  }
+  auto created = CreateValidated(engine, config);
+  if (!created.ok()) return created.status();
+  // Unregistered names fail fast too, so admission-time callers
+  // (JoinService::SubmitNamed) reject bad requests before queueing them.
+  // The producer re-resolves at run time and uses whatever version is then
+  // current.
   for (const std::string* name : {&r_name, &s_name}) {
     auto resident = registry->Get(*name);
     if (!resident.ok()) return resident.status();
   }
-  auto state = std::make_shared<StreamState>(stream.queue_capacity);
-  auto guard = std::shared_ptr<void>(nullptr, [state](void*) {
-    state->CloseIfOpen(
-        Status::Aborted("stream dropped without running the producer"));
-  });
-  std::function<void()> producer = [registry, engine, r_name, s_name, config,
-                                    stream, state, guard] {
-    RunRegisteredProducer(registry, engine, r_name, s_name, config, stream,
-                          state);
-  };
-  producer = InstrumentProducer(engine, stream.metrics,
-                                ContainFaults(std::move(producer), state),
-                                state);
-  auto abandon = [state, guard](Status status) {
-    state->CloseIfOpen(std::move(status));
-  };
-  // Deliberately does NOT co-own the abandon guard: a caller that drops the
-  // producer and abandon closures must close the stream even while a
-  // watchdog still holds cancel_with (cancelling a closed stream is a
-  // no-op).
-  auto cancel_with = [state](Status status) {
-    state->CancelWith(std::move(status));
-  };
-  guard.reset();  // closures now co-own the safety net
-  auto usage =
-      std::shared_ptr<obs::ResourceAccumulator>(state, state->usage());
-  return DeferredStream{AsyncJoinHandle(state, std::thread()),
-                        std::move(producer), std::move(abandon),
-                        std::move(cancel_with), state->token(),
-                        std::move(usage)};
+  EngineInputs in;
+  in.registry = registry;
+  in.r_name = r_name;
+  in.s_name = s_name;
+  return internal::StreamAccess::Defer(
+      engine, stream,
+      [eng = std::move(*created), in = std::move(in), config,
+       stream](const std::shared_ptr<StreamState>& state) {
+        RunEngineProducer(*eng, in, config, stream, state.get());
+      });
 }
 
 Result<AsyncJoinHandle> RunJoinAsync(DatasetRegistry& registry,
@@ -1050,17 +846,8 @@ Result<AsyncJoinHandle> RunJoinAsync(DatasetRegistry& registry,
                                      const std::string& s_name,
                                      const EngineConfig& config,
                                      const StreamOptions& stream) {
-  auto deferred =
-      MakeRegisteredJoinStream(&registry, engine, r_name, s_name, config,
-                               stream);
-  if (!deferred.ok()) return deferred.status();
-  DeferredStream d = std::move(*deferred);
-  d.handle.producer_ = std::thread(std::move(d.producer));
-  return std::move(d.handle);
-}
-
-std::unique_ptr<JoinEngine> MakeAsyncJoinEngine(const EngineConfig& config) {
-  return std::make_unique<AsyncCollectEngine>(config);
+  return internal::StreamAccess::Start(MakeRegisteredJoinStream(
+      &registry, engine, r_name, s_name, config, stream));
 }
 
 }  // namespace swiftspatial::exec

@@ -14,33 +14,26 @@
 // pair a genuine result, no duplicates) and Wait()/Collect() report
 // Aborted.
 //
-// Four producer strategies sit behind one handle type:
-//  - Partition-family engines ("partitioned", "simd", "async") stream
-//    natively: the grid is split into row bands, each band's cell
-//    assignment runs as a TaskGraph *plan task* that dynamically spawns
-//    that band's cell-join tasks, so planning of band k+1 overlaps joining
-//    of band k and the first chunks surface long before the last shard is
-//    even partitioned.
-//  - Accelerator engines ("accel-bfs", "accel-pbsm", "accel-pbsm-4x")
-//    stream natively from the simulated device: each result-burst flush of
-//    the write unit (BFS level / PBSM tile batch / multi-device shard)
-//    becomes chunks while the simulated kernel still runs, so host-side
-//    consumption overlaps device execution (join/accel_engine.h).
-//  - Distributed engines ("dist-pbsm", "dist-accel") stream natively from
-//    the simulated cluster: every shard the merge coordinator commits
-//    surfaces as chunks while other nodes are still joining, and a
-//    cancelled consumer stops the whole cluster mid-exchange
-//    (dist/dist_engine.h).
-//  - Every other registered engine runs Plan -> Execute synchronously on
-//    the producer thread and streams the finished result out in chunks, so
-//    the streaming contract (chunks, backpressure, cancellation, Collect)
-//    is uniform across the whole registry.
+// Two producers sit behind one handle type:
+//  - The banded grid producer serves "partitioned" cold streams: the grid
+//    is split into row bands, each band's cell assignment runs as a
+//    TaskGraph *plan task* that dynamically spawns that band's cell-join
+//    tasks, so planning of band k+1 overlaps joining of band k and the
+//    first chunks surface long before the last shard is even partitioned.
+//  - The engine producer serves every other stream. A cold stream runs
+//    Plan, then JoinEngine::ExecuteStreaming, so the engines that produce
+//    results incrementally stream while they run: the simulated device
+//    delivers each write-unit burst while its kernel still runs
+//    (join/accel_engine.h), the cluster each committed shard while other
+//    nodes still join, and a cancelled consumer stops the whole cluster
+//    mid-exchange (dist/dist_engine.h). Every other engine hands over its
+//    finished result. A warm stream (registered datasets) executes the
+//    cached plan and streams the finished result.
+// Either way the streaming contract (chunks, backpressure, cancellation,
+// Collect) is uniform across the whole registry.
 //
-// Collect() folds a stream back into a JoinRun, which is how the
-// "async" engine (registered in EngineRegistry::Global()) proves the
-// streaming path bit-identical to the synchronous one: the cross-algorithm
-// equivalence oracle in tests/join/equivalence_test.cc covers it like any
-// other engine.
+// Collect() folds a stream back into a JoinRun; tests/exec/streaming_test.cc
+// proves it equal to the nested-loop oracle for every registered engine.
 #ifndef SWIFTSPATIAL_EXEC_STREAMING_H_
 #define SWIFTSPATIAL_EXEC_STREAMING_H_
 
@@ -66,6 +59,7 @@ namespace swiftspatial::exec {
 
 namespace internal {
 class StreamState;
+struct StreamAccess;
 }  // namespace internal
 
 /// One batch of result pairs. Sequence numbers are consecutive from 0 in
@@ -83,8 +77,8 @@ struct StreamOptions {
   std::size_t chunk_pairs = 8192;
   /// Maximum buffered chunks before the producer blocks (backpressure).
   std::size_t queue_capacity = 8;
-  /// Row bands for the native streaming planner; 0 = auto
-  /// (min(grid rows, max(2, num_threads))). Ignored by the generic path.
+  /// Row bands for the banded grid producer; 0 = auto
+  /// (min(grid rows, max(2, num_threads))). Ignored by the engine producer.
   int num_shards = 0;
   /// Sink for the swiftspatial_stream_* series (per-engine plan/execute
   /// latency, chunk counts), observed once per stream after the producer
@@ -103,30 +97,6 @@ struct StreamSummary {
   /// tests assert to pin the backpressure contract.
   std::size_t max_queue_depth = 0;
 };
-
-class AsyncJoinHandle;
-struct DeferredStream;
-Result<AsyncJoinHandle> RunJoinAsync(const std::string& engine,
-                                     const Dataset& r, const Dataset& s,
-                                     const EngineConfig& config,
-                                     const StreamOptions& stream);
-Result<DeferredStream> MakeJoinStream(const std::string& engine,
-                                      const Dataset& r, const Dataset& s,
-                                      const EngineConfig& config,
-                                      const StreamOptions& stream,
-                                      ThreadPool* pool);
-Result<DeferredStream> MakeRegisteredJoinStream(DatasetRegistry* registry,
-                                                const std::string& engine,
-                                                const std::string& r_name,
-                                                const std::string& s_name,
-                                                const EngineConfig& config,
-                                                const StreamOptions& stream);
-Result<AsyncJoinHandle> RunJoinAsync(DatasetRegistry& registry,
-                                     const std::string& engine,
-                                     const std::string& r_name,
-                                     const std::string& s_name,
-                                     const EngineConfig& config,
-                                     const StreamOptions& stream);
 
 /// Consumer handle for one asynchronous join. Movable, not copyable; the
 /// destructor cancels and drains an unfinished stream, so dropping a handle
@@ -167,24 +137,7 @@ class AsyncJoinHandle {
   std::size_t max_queue_depth() const;
 
  private:
-  friend Result<AsyncJoinHandle> RunJoinAsync(const std::string&,
-                                              const Dataset&, const Dataset&,
-                                              const EngineConfig&,
-                                              const StreamOptions&);
-  friend Result<DeferredStream> MakeJoinStream(const std::string&,
-                                               const Dataset&, const Dataset&,
-                                               const EngineConfig&,
-                                               const StreamOptions&,
-                                               ThreadPool*);
-  friend Result<DeferredStream> MakeRegisteredJoinStream(
-      DatasetRegistry*, const std::string&, const std::string&,
-      const std::string&, const EngineConfig&, const StreamOptions&);
-  friend Result<AsyncJoinHandle> RunJoinAsync(DatasetRegistry&,
-                                              const std::string&,
-                                              const std::string&,
-                                              const std::string&,
-                                              const EngineConfig&,
-                                              const StreamOptions&);
+  friend struct internal::StreamAccess;
 
   AsyncJoinHandle(std::shared_ptr<internal::StreamState> state,
                   std::thread producer);
@@ -238,8 +191,8 @@ struct DeferredStream {
 };
 
 /// Like RunJoinAsync but defers producer execution to the caller and, when
-/// `pool` is non-null, schedules the native path's tile tasks on that pool
-/// instead of a private one (several streams may share one pool; each
+/// `pool` is non-null, schedules the banded grid producer's tile tasks on
+/// that pool instead of a private one (several streams may share one pool; each
 /// stream's graph is tracked independently).
 Result<DeferredStream> MakeJoinStream(const std::string& engine,
                                       const Dataset& r, const Dataset& s,
@@ -253,7 +206,8 @@ Result<DeferredStream> MakeJoinStream(const std::string& engine,
 /// ExecutePrepared output -- on a cache hit the stream's plan_seconds is
 /// just the cache lookup, effectively zero, which is the measurable
 /// warm-serving win. Fails fast with NotFound for unknown engines or
-/// unregistered dataset names. `registry` must outlive the stream.
+/// unregistered dataset names and InvalidArgument for configurations
+/// rejectable without touching the data. `registry` must outlive the stream.
 Result<DeferredStream> MakeRegisteredJoinStream(
     DatasetRegistry* registry, const std::string& engine,
     const std::string& r_name, const std::string& s_name,
@@ -267,11 +221,6 @@ Result<AsyncJoinHandle> RunJoinAsync(DatasetRegistry& registry,
                                      const std::string& s_name,
                                      const EngineConfig& config = {},
                                      const StreamOptions& stream = {});
-
-/// Factory behind the "async" engine registered in EngineRegistry::Global():
-/// Execute() runs the native banded streaming path and Collect()s it, so the
-/// equivalence oracle checks streaming output against every other engine.
-std::unique_ptr<JoinEngine> MakeAsyncJoinEngine(const EngineConfig& config);
 
 }  // namespace swiftspatial::exec
 

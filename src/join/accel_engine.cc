@@ -13,6 +13,24 @@ namespace swiftspatial {
 
 namespace {
 
+// Data-independent device config checks (thread count, unit count, tile
+// cap, device memory).
+Status ValidateAccelConfig(const EngineConfig& config) {
+  if (config.num_threads < 1) {
+    return Status::InvalidArgument("num_threads must be >= 1");
+  }
+  if (config.accel_join_units < 0) {
+    return Status::InvalidArgument("accel_join_units must be >= 0");
+  }
+  if (config.accel_tile_cap < 1) {
+    return Status::InvalidArgument("accel_tile_cap must be >= 1");
+  }
+  if (config.accel_device_memory_bytes == 0) {
+    return Status::InvalidArgument("accel_device_memory_bytes must be > 0");
+  }
+  return Status::OK();
+}
+
 // Plan/Execute bookkeeping shared by the three device engines (the same
 // contract engine.cc's EngineBase enforces for the CPU engines: config and
 // geometry validation at Plan, planned/empty-input guards, *out overwritten
@@ -25,9 +43,10 @@ class AccelEngineBase : public AccelJoinEngine {
 
   const std::string& name() const override { return name_; }
 
+  Status ValidateConfig() override { return ValidateAccelConfig(config_); }
+
   Status Plan(const Dataset& r, const Dataset& s) final {
-    SWIFT_RETURN_IF_ERROR(ValidateAccelConfig(config_));
-    SWIFT_RETURN_IF_ERROR(Validate());
+    SWIFT_RETURN_IF_ERROR(ValidateConfig());
     if (config_.validate_inputs) {
       SWIFT_RETURN_IF_ERROR(r.ValidateBoxes());
       SWIFT_RETURN_IF_ERROR(s.ValidateBoxes());
@@ -55,8 +74,12 @@ class AccelEngineBase : public AccelJoinEngine {
     return ExecuteImpl(*r_, *s_, out, stats, nullptr);
   }
 
-  Status ExecuteStreaming(const AccelBatchSink& sink,
-                          JoinStats* stats) final {
+  // The simulated kernel cannot stop mid-run (a cancelled consumer drops
+  // the remaining batches instead), and the device's costs are in
+  // last_report(), so the token and the accumulator are unused.
+  Status ExecuteStreaming(const ResultSink& sink, JoinStats* stats,
+                          exec::CancellationToken,
+                          obs::ResourceAccumulator*) final {
     if (!planned_) {
       return Status::Internal(
           "ExecuteStreaming called before a successful Plan");
@@ -71,15 +94,13 @@ class AccelEngineBase : public AccelJoinEngine {
   }
 
  protected:
-  /// Engine-specific config validation beyond ValidateAccelConfig.
-  virtual Status Validate() { return Status::OK(); }
   /// Builds the device images (trees / partitions). Non-empty inputs only.
   virtual Status PlanImpl(const Dataset& r, const Dataset& s) = 0;
   /// Runs the device. Exactly one of `out` (collecting) and `sink`
   /// (streaming) is non-null. Must fill report_.
   virtual Status ExecuteImpl(const Dataset& r, const Dataset& s,
                              JoinResult* out, JoinStats* stats,
-                             const AccelBatchSink* sink) = 0;
+                             const ResultSink* sink) = 0;
 
   const EngineConfig& config() const { return config_; }
 
@@ -94,7 +115,7 @@ class AccelEngineBase : public AccelJoinEngine {
   /// Bridges the write unit's burst granularity to the engine sink: each
   /// flushed result burst (a tile batch / a run of leaf pairs) becomes one
   /// host-visible batch.
-  static hw::ResultSink BurstBridge(const AccelBatchSink& sink) {
+  static hw::ResultSink BurstBridge(const ResultSink& sink) {
     return [&sink](const std::vector<ResultPair>& pairs) {
       sink(std::vector<ResultPair>(pairs));
     };
@@ -117,14 +138,15 @@ class AccelBfsEngine : public AccelEngineBase {
  public:
   using AccelEngineBase::AccelEngineBase;
 
- protected:
-  Status Validate() override {
+  Status ValidateConfig() override {
+    SWIFT_RETURN_IF_ERROR(AccelEngineBase::ValidateConfig());
     if (config().node_capacity < 2) {
       return Status::InvalidArgument("node_capacity must be >= 2");
     }
     return Status::OK();
   }
 
+ protected:
   Status PlanImpl(const Dataset& r, const Dataset& s) override {
     BulkLoadOptions bl;
     bl.max_entries = config().node_capacity;
@@ -136,7 +158,7 @@ class AccelBfsEngine : public AccelEngineBase {
   }
 
   Status ExecuteImpl(const Dataset&, const Dataset&, JoinResult* out,
-                     JoinStats* stats, const AccelBatchSink* sink) override {
+                     JoinStats* stats, const ResultSink* sink) override {
     hw::Accelerator device(DeviceConfig());
     hw::ResultSink bridge;
     if (sink != nullptr) bridge = BurstBridge(*sink);
@@ -169,7 +191,7 @@ class AccelPbsmEngine : public AccelEngineBase {
   }
 
   Status ExecuteImpl(const Dataset& r, const Dataset& s, JoinResult* out,
-                     JoinStats* stats, const AccelBatchSink* sink) override {
+                     JoinStats* stats, const ResultSink* sink) override {
     hw::Accelerator device(DeviceConfig());
     hw::ResultSink bridge;
     if (sink != nullptr) bridge = BurstBridge(*sink);
@@ -203,7 +225,7 @@ class AccelPbsmMultiEngine : public AccelEngineBase {
   }
 
   Status ExecuteImpl(const Dataset& r, const Dataset& s, JoinResult* out,
-                     JoinStats* stats, const AccelBatchSink* sink) override {
+                     JoinStats* stats, const ResultSink* sink) override {
     hw::MultiDeviceConfig mdc;
     mdc.device = DeviceConfig();
     mdc.device_memory_bytes = config().accel_device_memory_bytes;
@@ -251,22 +273,6 @@ class AccelPbsmMultiEngine : public AccelEngineBase {
 bool IsAccelEngine(const std::string& name) {
   return name == kAccelBfsEngine || name == kAccelPbsmEngine ||
          name == kAccelPbsmMultiEngine;
-}
-
-Status ValidateAccelConfig(const EngineConfig& config) {
-  if (config.num_threads < 1) {
-    return Status::InvalidArgument("num_threads must be >= 1");
-  }
-  if (config.accel_join_units < 0) {
-    return Status::InvalidArgument("accel_join_units must be >= 0");
-  }
-  if (config.accel_tile_cap < 1) {
-    return Status::InvalidArgument("accel_tile_cap must be >= 1");
-  }
-  if (config.accel_device_memory_bytes == 0) {
-    return Status::InvalidArgument("accel_device_memory_bytes must be > 0");
-  }
-  return Status::OK();
 }
 
 Result<std::unique_ptr<AccelJoinEngine>> MakeAccelEngine(

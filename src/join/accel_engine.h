@@ -17,20 +17,18 @@
 //                  deduplicated by the reference-point rule. The seed of
 //                  multi-node sharding: each shard is an independent device.
 //
-// Beyond the JoinEngine contract, these engines expose ExecuteStreaming --
-// result batches surface as the simulated write unit flushes them (per BFS
-// level / per PBSM tile batch / per 4x partition), which is what lets
-// exec::RunJoinAsync overlap simulated-kernel execution with host-side
-// consumption -- and last_report(), the device performance model (kernel
-// cycles, DRAM traffic, PCIe transfer) of the most recent Execute.
+// Their JoinEngine::ExecuteStreaming override hands result batches to the
+// sink as the simulated write unit flushes them (per BFS level / per PBSM
+// tile batch / per 4x partition), which is what lets exec::RunJoinAsync
+// overlap simulated-kernel execution with host-side consumption. The typed
+// handle adds last_report(), the device performance model (kernel cycles,
+// DRAM traffic, PCIe transfer) of the most recent Execute.
 #ifndef SWIFTSPATIAL_JOIN_ACCEL_ENGINE_H_
 #define SWIFTSPATIAL_JOIN_ACCEL_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "hw/accelerator.h"
@@ -38,23 +36,13 @@
 
 namespace swiftspatial {
 
-/// Receives result batches as the device produces them (ExecuteStreaming).
-/// Batches are non-empty; the concatenation over a successful run is exactly
-/// the Execute result multiset.
-using AccelBatchSink = std::function<void(std::vector<ResultPair>)>;
-
-/// JoinEngine extended with the accelerator's streaming face and its
-/// performance report. Lifecycle as JoinEngine: Plan once, then Execute /
-/// ExecuteStreaming any number of times.
+/// JoinEngine extended with the accelerator's performance report.
+/// Lifecycle as JoinEngine: Plan once, then Execute / ExecuteStreaming any
+/// number of times. ExecuteStreaming delivers each write-unit burst as it
+/// retires; the simulated kernel runs to completion even if the consumer
+/// cancels.
 class AccelJoinEngine : public JoinEngine {
  public:
-  /// Like Execute, but hands result batches to `sink` as the simulated
-  /// write unit retires them instead of collecting one JoinResult. The
-  /// simulated kernel runs to completion even if the consumer loses
-  /// interest; `stats` (when non-null) accumulates as in Execute.
-  virtual Status ExecuteStreaming(const AccelBatchSink& sink,
-                                  JoinStats* stats) = 0;
-
   /// Device performance model of the last Execute/ExecuteStreaming
   /// (zeroed at the start of each). The multi-device engine aggregates:
   /// kernel cycles are the max over concurrent sub-joins, transfer bytes
@@ -76,13 +64,9 @@ class AccelJoinEngine : public JoinEngine {
 /// True for the engine names backed by the simulated accelerator.
 bool IsAccelEngine(const std::string& name);
 
-/// Config checks shared by Plan and the streaming layer's fail-fast path
-/// (data-independent: thread count, unit count, tile cap, device memory).
-Status ValidateAccelConfig(const EngineConfig& config);
-
 /// Instantiates one of the accelerator engines directly -- the typed handle
-/// (ExecuteStreaming, last_report) that the plain registry interface
-/// erases. NotFound for names IsAccelEngine rejects.
+/// (last_report) that the plain registry interface erases. NotFound for
+/// names IsAccelEngine rejects.
 Result<std::unique_ptr<AccelJoinEngine>> MakeAccelEngine(
     const std::string& name, const EngineConfig& config);
 

@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "dist/dist_engine.h"
-#include "exec/streaming.h"
 #include "join/accel_engine.h"
 #include "join/cuspatial_like.h"
 #include "join/engine_baselines.h"
@@ -20,14 +19,6 @@
 
 namespace swiftspatial {
 namespace {
-
-// Validation shared by every engine.
-Status ValidateCommon(const EngineConfig& config) {
-  if (config.num_threads < 1) {
-    return Status::InvalidArgument("num_threads must be >= 1");
-  }
-  return Status::OK();
-}
 
 // Shared by ExecutePrepared overrides: the output/name/type checks every
 // native implementation needs before touching plan artifacts.
@@ -54,13 +45,21 @@ Result<const PlanT*> CheckPreparedPlan(const JoinEngine& engine,
 
 // Base class factoring the Plan bookkeeping every adapter needs: common
 // config validation, dataset capture, and the planned/empty-input guards.
-// Subclasses override PlanImpl/ExecuteImpl.
+// Subclasses override PlanImpl/ExecuteImpl, and ValidateConfig (chaining to
+// this class's) for engine-specific config checks.
 class EngineBase : public JoinEngine {
  public:
   EngineBase(std::string name, const EngineConfig& config)
       : name_(std::move(name)), config_(config) {}
 
   const std::string& name() const override { return name_; }
+
+  Status ValidateConfig() override {
+    if (config_.num_threads < 1) {
+      return Status::InvalidArgument("num_threads must be >= 1");
+    }
+    return Status::OK();
+  }
 
   Status Plan(const Dataset& r, const Dataset& s) final {
     SWIFT_RETURN_IF_ERROR(PrepareChecks(r, s));
@@ -92,14 +91,13 @@ class EngineBase : public JoinEngine {
   }
 
  protected:
-  /// The validation Plan runs before building anything: common + engine
-  /// config checks, then the reject-at-ingest geometry policy (NaN/inf
-  /// coordinates, inverted boxes; see EngineConfig::validate_inputs).
-  /// Prepare overrides run the same gauntlet so the warm path accepts
-  /// exactly what the cold path accepts.
+  /// The validation Plan runs before building anything: config checks,
+  /// then the reject-at-ingest geometry policy (NaN/inf coordinates,
+  /// inverted boxes; see EngineConfig::validate_inputs). Prepare overrides
+  /// run the same gauntlet so the warm path accepts exactly what the cold
+  /// path accepts.
   Status PrepareChecks(const Dataset& r, const Dataset& s) {
-    SWIFT_RETURN_IF_ERROR(ValidateCommon(config_));
-    SWIFT_RETURN_IF_ERROR(Validate());
+    SWIFT_RETURN_IF_ERROR(ValidateConfig());
     if (config_.validate_inputs) {
       SWIFT_RETURN_IF_ERROR(r.ValidateBoxes());
       SWIFT_RETURN_IF_ERROR(s.ValidateBoxes());
@@ -107,8 +105,6 @@ class EngineBase : public JoinEngine {
     return Status::OK();
   }
 
-  /// Engine-specific config validation (beyond ValidateCommon).
-  virtual Status Validate() { return Status::OK(); }
   /// Builds indexes/partitions. Only called for non-empty inputs.
   virtual Status PlanImpl(const Dataset& r, const Dataset& s) {
     (void)r;
@@ -230,14 +226,15 @@ class PbsmEngine : public EngineBase {
     return Status::OK();
   }
 
- protected:
-  Status Validate() override {
+  Status ValidateConfig() override {
+    SWIFT_RETURN_IF_ERROR(EngineBase::ValidateConfig());
     if (config().num_partitions < 1) {
       return Status::InvalidArgument("num_partitions must be >= 1");
     }
     return Status::OK();
   }
 
+ protected:
   Status PlanImpl(const Dataset& r, const Dataset& s) override {
     options_ = OptionsFromConfig();
     partition_ = PbsmPartition(r, s, options_);
@@ -272,8 +269,8 @@ class CuSpatialLikeEngine : public EngineBase {
  public:
   using EngineBase::EngineBase;
 
- protected:
-  Status Validate() override {
+  Status ValidateConfig() override {
+    SWIFT_RETURN_IF_ERROR(EngineBase::ValidateConfig());
     if (config().quadtree_leaf_capacity < 1) {
       return Status::InvalidArgument("quadtree_leaf_capacity must be >= 1");
     }
@@ -283,6 +280,7 @@ class CuSpatialLikeEngine : public EngineBase {
     return Status::OK();
   }
 
+ protected:
   Status PlanImpl(const Dataset& r, const Dataset& s) override {
     (void)s;
     if (!r.IsPointDataset()) {
@@ -344,14 +342,15 @@ class RTreeEngineBase : public EngineBase {
     return std::shared_ptr<const PreparedPlan>(std::move(plan));
   }
 
- protected:
-  Status Validate() override {
+  Status ValidateConfig() override {
+    SWIFT_RETURN_IF_ERROR(EngineBase::ValidateConfig());
     if (config().node_capacity < 2) {
       return Status::InvalidArgument("node_capacity must be >= 2");
     }
     return Status::OK();
   }
 
+ protected:
   Status PlanImpl(const Dataset& r, const Dataset& s) override {
     LoadTrees(r, s, &r_tree_, &s_tree_);
     return Status::OK();
@@ -414,15 +413,15 @@ class ParallelSyncTraversalEngine : public RTreeEngineBase {
     return Status::OK();
   }
 
- protected:
-  Status Validate() override {
-    SWIFT_RETURN_IF_ERROR(RTreeEngineBase::Validate());
+  Status ValidateConfig() override {
+    SWIFT_RETURN_IF_ERROR(RTreeEngineBase::ValidateConfig());
     if (config().dfs_switch_factor < 1) {
       return Status::InvalidArgument("dfs_switch_factor must be >= 1");
     }
     return Status::OK();
   }
 
+ protected:
   Status ExecuteImpl(const Dataset&, const Dataset&, JoinResult* out,
                      JoinStats* stats) override {
     *out = ParallelSyncTraversal(*r_tree_, *s_tree_, TraversalOptions(),
@@ -442,10 +441,9 @@ class ParallelSyncTraversalEngine : public RTreeEngineBase {
 };
 
 // ---------------------------------------------------------------------------
-// partitioned: the grid-sharded thread-pooled driver. The simd variant is
-// the same driver locked to the batched SIMD filter kernel as its tile join,
-// so the grid supplies thread scaling and the kernel supplies per-cell
-// predicate throughput.
+// partitioned: the grid-sharded thread-pooled driver. With
+// tile_join = TileJoin::kSimd the grid supplies thread scaling and the
+// batched SIMD filter kernel supplies per-cell predicate throughput.
 // ---------------------------------------------------------------------------
 // The cached artifact of grid planning: the shared immutable cell plan
 // (see PartitionedPlanState). ExecutePartitionedPlan reads it const with
@@ -463,11 +461,12 @@ class PartitionedPreparedPlan : public PreparedPlan {
 
 class PartitionedEngine : public EngineBase {
  public:
-  PartitionedEngine(std::string name, const EngineConfig& config)
-      : EngineBase(std::move(name), config), tile_join_(config.tile_join) {}
-  PartitionedEngine(std::string name, const EngineConfig& config,
-                    TileJoin forced_tile_join)
-      : EngineBase(std::move(name), config), tile_join_(forced_tile_join) {}
+  using EngineBase::EngineBase;
+
+  Status ValidateConfig() override {
+    SWIFT_RETURN_IF_ERROR(EngineBase::ValidateConfig());
+    return ValidateGridConfig(config().grid_cols, config().grid_rows);
+  }
 
   Result<std::shared_ptr<const PreparedPlan>> Prepare(
       std::shared_ptr<const Dataset> r,
@@ -489,7 +488,8 @@ class PartitionedEngine : public EngineBase {
     *out = JoinResult();
     if ((*typed)->state == nullptr) return Status::OK();
     *out = ExecutePartitionedPlan(*(*typed)->state, plan.r(), plan.s(),
-                                  tile_join_, config().num_threads, stats);
+                                  config().tile_join, config().num_threads,
+                                  stats);
     return Status::OK();
   }
 
@@ -511,11 +511,10 @@ class PartitionedEngine : public EngineBase {
     options.grid_cols = config().grid_cols;
     options.grid_rows = config().grid_rows;
     options.num_threads = config().num_threads;
-    options.tile_join = tile_join_;
+    options.tile_join = config().tile_join;
     return options;
   }
 
-  TileJoin tile_join_;
   PartitionedDriver driver_;
 };
 
@@ -526,14 +525,15 @@ class InterpretedEngineAdapter : public EngineBase {
  public:
   using EngineBase::EngineBase;
 
- protected:
-  Status Validate() override {
+  Status ValidateConfig() override {
+    SWIFT_RETURN_IF_ERROR(EngineBase::ValidateConfig());
     if (config().index_max_entries < 2) {
       return Status::InvalidArgument("index_max_entries must be >= 2");
     }
     return Status::OK();
   }
 
+ protected:
   Status ExecuteImpl(const Dataset& r, const Dataset& s, JoinResult* out,
                      JoinStats* stats) override {
     InterpretedEngineOptions options;
@@ -548,8 +548,8 @@ class BigDataFrameworkAdapter : public EngineBase {
  public:
   using EngineBase::EngineBase;
 
- protected:
-  Status Validate() override {
+  Status ValidateConfig() override {
+    SWIFT_RETURN_IF_ERROR(EngineBase::ValidateConfig());
     if (config().num_partitions < 1) {
       return Status::InvalidArgument("num_partitions must be >= 1");
     }
@@ -559,6 +559,7 @@ class BigDataFrameworkAdapter : public EngineBase {
     return Status::OK();
   }
 
+ protected:
   Status ExecuteImpl(const Dataset& r, const Dataset& s, JoinResult* out,
                      JoinStats* stats) override {
     BigDataFrameworkOptions options;
@@ -617,6 +618,20 @@ Result<std::shared_ptr<const PreparedPlan>> JoinEngine::Prepare(
   // PrepareJoin turns this into the serialized generic fallback.
   return Status::NotSupported("engine " + name() +
                               " has no native prepared-plan support");
+}
+
+// The default cannot stop mid-Execute and has no costs of its own to
+// report, so it ignores the token and the accumulator.
+Status JoinEngine::ExecuteStreaming(const ResultSink& sink, JoinStats* stats,
+                                    exec::CancellationToken,
+                                    obs::ResourceAccumulator*) {
+  if (!sink) {
+    return Status::InvalidArgument("ExecuteStreaming requires a callable sink");
+  }
+  JoinResult result;
+  SWIFT_RETURN_IF_ERROR(Execute(&result, stats));
+  if (!result.empty()) sink(std::move(result.mutable_pairs()));
+  return Status::OK();
 }
 
 Status JoinEngine::ExecutePrepared(const PreparedPlan& plan, JoinResult* out,
@@ -751,15 +766,6 @@ EngineRegistry& EngineRegistry::Global() {
                         kParallelSyncTraversalEngine));
     register_or_die(kPartitionedEngine, MakeFactory<PartitionedEngine>(
                                             kPartitionedEngine));
-    register_or_die(
-        kSimdEngine,
-        [](const EngineConfig& config) -> std::unique_ptr<JoinEngine> {
-          return std::make_unique<PartitionedEngine>(kSimdEngine, config,
-                                                     TileJoin::kSimd);
-        });
-    register_or_die(kAsyncEngine, [](const EngineConfig& config) {
-      return exec::MakeAsyncJoinEngine(config);
-    });
     // The simulated accelerator (join/accel_engine.h). MakeAccelEngine only
     // fails for unknown names, so dereferencing here is safe; config errors
     // surface at Plan like every other engine.

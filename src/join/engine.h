@@ -30,10 +30,12 @@
 #include "common/thread_pool.h"
 #include "datagen/dataset.h"
 #include "dist/placement.h"
+#include "exec/task_graph.h"
 #include "grid/pbsm_partition.h"
 #include "join/parallel_sync_traversal.h"
 #include "join/pbsm.h"
 #include "join/result.h"
+#include "obs/resource.h"
 #include "obs/trace.h"
 
 namespace swiftspatial {
@@ -45,8 +47,8 @@ struct EngineConfig {
   // --- Shared across engines. ---
   std::size_t num_threads = 1;
   /// ParallelFor scheduling for pbsm and parallel_sync_traversal. The
-  /// partitioned/simd/async drivers run as TaskGraph waves, which are
-  /// inherently dynamic; they ignore this field.
+  /// partitioned driver runs as TaskGraph waves, which are inherently
+  /// dynamic; it ignores this field.
   Schedule schedule = Schedule::kDynamic;
   /// Reject-at-ingest policy for malformed geometry: when true (the
   /// default), Plan fails with InvalidArgument if either dataset contains a
@@ -180,6 +182,11 @@ inline std::shared_ptr<const Dataset> BorrowDataset(const Dataset& d) {
 /// the implementation's field list.)
 uint64_t ConfigFingerprint(const EngineConfig& config);
 
+/// Receives result batches from JoinEngine::ExecuteStreaming. Calls are
+/// never concurrent; batches are non-empty, and their concatenation over a
+/// successful run is exactly the Execute result multiset.
+using ResultSink = std::function<void(std::vector<ResultPair>)>;
+
 /// A spatial-join algorithm behind the two-stage Plan -> Execute interface.
 ///
 /// Lifecycle: create (via EngineRegistry::Create), Plan once, then Execute
@@ -196,6 +203,11 @@ class JoinEngine {
   /// The name the engine was registered under, e.g. "pbsm".
   virtual const std::string& name() const = 0;
 
+  /// The data-independent half of Plan's validation: every configuration
+  /// error Plan would report without looking at the inputs. Stream entry
+  /// points call it so such errors fail fast, before a producer exists.
+  virtual Status ValidateConfig() { return Status::OK(); }
+
   /// Validates config + inputs and builds indexes/partitions.
   virtual Status Plan(const Dataset& r, const Dataset& s) = 0;
 
@@ -203,10 +215,23 @@ class JoinEngine {
   /// overwritten; `*stats` (when non-null) accumulates across calls.
   virtual Status Execute(JoinResult* out, JoinStats* stats) = 0;
 
+  /// Like Execute, but hands the result to `sink` in batches instead of
+  /// collecting one JoinResult. Must be called after a successful Plan;
+  /// `*stats` (when non-null) accumulates. The default runs Execute and
+  /// hands over the finished pairs in one batch. Engines that produce
+  /// results incrementally (the simulated device, the cluster) override it
+  /// to deliver each batch as it exists. `cancel` asks the engine to stop
+  /// early (the call then returns Aborted); engines that cannot stop
+  /// mid-run ignore it. `usage` (when non-null) receives per-run costs that
+  /// only the engine sees, such as the cluster's shard retries.
+  virtual Status ExecuteStreaming(const ResultSink& sink, JoinStats* stats,
+                                  exec::CancellationToken cancel,
+                                  obs::ResourceAccumulator* usage);
+
   /// Warm-serving seam: like Plan, but the planned artifacts come back as a
   /// detached immutable PreparedPlan instead of mutating engine state, so
   /// they can be cached and shared across requests. Engines with native
-  /// support (partitioned/simd, the R-tree traversals, pbsm, the dist
+  /// support (partitioned, the R-tree traversals, pbsm, the dist
   /// engines) return plans whose ExecutePrepared is safe from many threads
   /// at once; the default returns NotSupported, which PrepareJoin turns
   /// into the serialized generic fallback.
@@ -290,20 +315,16 @@ inline constexpr const char* kCuSpatialLikeEngine = "cuspatial_like";
 inline constexpr const char* kSyncTraversalEngine = "sync_traversal";
 inline constexpr const char* kParallelSyncTraversalEngine =
     "parallel_sync_traversal";
+/// The grid-sharded driver; `EngineConfig::tile_join` picks the per-cell
+/// join (TileJoin::kSimd selects the batched SIMD filter kernel).
 inline constexpr const char* kPartitionedEngine = "partitioned";
-inline constexpr const char* kSimdEngine = "simd";
-/// The streaming executor collected back into a synchronous result: Execute
-/// runs the banded async pipeline (exec/streaming.h) and Collect()s it, so
-/// registering it here opts the whole streaming path into the equivalence
-/// oracle.
-inline constexpr const char* kAsyncEngine = "async";
 inline constexpr const char* kInterpretedEngineBaseline = "interpreted_engine";
 inline constexpr const char* kBigDataFrameworkBaseline = "big_data_framework";
 /// The simulated accelerator behind the same Plan -> Execute interface:
 /// BFS R-tree synchronous traversal (accel-bfs, §3.4.1), the tile-pair join
 /// over a hierarchical partition (accel-pbsm, §3.4.2), and the sharded
 /// multi-device PBSM variant (accel-pbsm-4x, §6). Declared in
-/// join/accel_engine.h, which also exposes their streaming Execute.
+/// join/accel_engine.h, which also exposes the device report.
 inline constexpr const char* kAccelBfsEngine = "accel-bfs";
 inline constexpr const char* kAccelPbsmEngine = "accel-pbsm";
 inline constexpr const char* kAccelPbsmMultiEngine = "accel-pbsm-4x";
@@ -312,7 +333,7 @@ inline constexpr const char* kAccelPbsmMultiEngine = "accel-pbsm-4x";
 /// coordinator, node failures recovered by shard re-execution. dist-pbsm
 /// joins shards on CPU workers; dist-accel fronts one simulated device per
 /// shard (accel-pbsm-4x generalised to N x M). Declared in
-/// dist/dist_engine.h, which also exposes their streaming Execute.
+/// dist/dist_engine.h, which also exposes the cluster report.
 inline constexpr const char* kDistPbsmEngine = "dist-pbsm";
 inline constexpr const char* kDistAccelEngine = "dist-accel";
 

@@ -34,8 +34,8 @@
 namespace swiftspatial {
 
 /// Default auto-sizing target: objects per grid cell (both sides combined).
-/// Shared by PartitionedDriverOptions and the streaming executor so the
-/// `partitioned` and `async` engines plan identical grids.
+/// Shared by PartitionedDriverOptions and the banded streaming producer so
+/// synchronous and streamed `partitioned` joins plan identical grids.
 inline constexpr std::size_t kDefaultCellPopulation = 128;
 
 /// Cell-task batching factor: cell joins are strided into at most
@@ -54,9 +54,9 @@ int AutoGridSide(std::size_t total_objects,
 
 /// Fail-fast validation of grid dimensions (0 = auto on both, bounded so
 /// cols * rows cannot overflow int). One definition shared by the
-/// synchronous driver and the streaming executor, so the `partitioned` and
-/// `async` engines can never drift apart on which configurations they
-/// accept.
+/// synchronous driver and the banded streaming producer, so synchronous and
+/// streamed `partitioned` joins can never drift apart on which
+/// configurations they accept.
 Status ValidateGridConfig(int grid_cols, int grid_rows);
 
 /// One grid decision for a join: the joint extent plus the derived (or

@@ -1,8 +1,8 @@
 // Streaming-API contract tests: chunked delivery, backpressure bounds,
 // cancellation prefixes, and -- the load-bearing one -- Collect() proven
-// bit-identical to the synchronous RunJoin result for EVERY engine in the
-// registry (the "async" engine is additionally covered by the cross-
-// algorithm oracle in tests/join/equivalence_test.cc).
+// equal to the nested-loop oracle for EVERY engine in the registry, at the
+// equivalence oracle's densities and thread counts
+// (tests/join/equivalence_test.cc covers the synchronous paths).
 #include "exec/streaming.h"
 
 #include <gtest/gtest.h>
@@ -16,7 +16,9 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "exec/dataset_registry.h"
 #include "join/engine.h"
+#include "join/nested_loop.h"
 #include "tests/test_util.h"
 
 namespace swiftspatial::exec {
@@ -93,61 +95,103 @@ bool IsFaultEngine(const std::string& name) {
 }
 
 TEST(Streaming, CollectMatchesSynchronousRunForEveryRegisteredEngine) {
-  const Dataset rects_r = testutil::Uniform(400, 91);
-  const Dataset rects_s = testutil::Skewed(400, 92);
-  const Dataset points_r = testutil::UniformPoints(400, 93);
+  // The equivalence oracle's densities (EngineOracleTest): larger edges on
+  // the same map = denser joins.
+  struct Density {
+    const char* label;
+    double map_size;
+    double max_edge;
+  };
+  for (const Density density : {Density{"Sparse", 4000.0, 4.0},
+                                Density{"Medium", 1000.0, 10.0},
+                                Density{"Dense", 300.0, 20.0}}) {
+    const Dataset rects_r =
+        testutil::Uniform(400, 91, density.map_size, density.max_edge);
+    const Dataset rects_s = testutil::Skewed(400, 92, density.map_size);
+    const Dataset points_r =
+        testutil::UniformPoints(400, 93, density.map_size);
+    JoinResult rect_oracle = BruteForceJoin(rects_r, rects_s);
+    JoinResult point_oracle = BruteForceJoin(points_r, rects_s);
 
-  for (const std::string& name : EngineRegistry::Global().Names()) {
-    if (IsFaultEngine(name)) continue;  // fail by design (see above)
-    const bool point_only = name == kCuSpatialLikeEngine;
-    const Dataset& r = point_only ? points_r : rects_r;
+    for (const std::string& name : EngineRegistry::Global().Names()) {
+      if (IsFaultEngine(name)) continue;  // fail by design (see above)
+      const bool point_only = name == kCuSpatialLikeEngine;
+      const Dataset& r = point_only ? points_r : rects_r;
+      JoinResult& oracle = point_only ? point_oracle : rect_oracle;
 
-    EngineConfig config;
-    config.num_threads = 4;
-    config.num_partitions = 16;
-    auto sync = RunJoin(name, r, rects_s, config);
-    ASSERT_TRUE(sync.ok()) << name << ": " << sync.status().ToString();
+      for (const std::size_t threads : {1u, 2u, 8u}) {
+        EngineConfig config;
+        config.num_threads = threads;
+        config.num_partitions = 16;
+        StreamOptions stream;
+        stream.chunk_pairs = 128;  // force multi-chunk streams
+        auto handle = RunJoinAsync(name, r, rects_s, config, stream);
+        ASSERT_TRUE(handle.ok())
+            << name << ": " << handle.status().ToString();
+        StreamSummary summary = handle->Collect();
+        ASSERT_TRUE(summary.status.ok())
+            << name << ": " << summary.status.ToString();
 
-    StreamOptions stream;
-    stream.chunk_pairs = 128;  // force multi-chunk streams
-    auto handle = RunJoinAsync(name, r, rects_s, config, stream);
-    ASSERT_TRUE(handle.ok()) << name << ": " << handle.status().ToString();
-    StreamSummary summary = handle->Collect();
-    ASSERT_TRUE(summary.status.ok())
-        << name << ": " << summary.status.ToString();
-
-    EXPECT_TRUE(
-        JoinResult::SameMultiset(sync->result, summary.run.result))
-        << name << ": sync " << sync->result.size() << " pairs, streamed "
-        << summary.run.result.size();
-    EXPECT_LE(summary.max_queue_depth, stream.queue_capacity) << name;
+        EXPECT_TRUE(JoinResult::SameMultiset(oracle, summary.run.result))
+            << name << " threads=" << threads << " density="
+            << density.label << ": expected " << oracle.size()
+            << " pairs, streamed " << summary.run.result.size();
+        EXPECT_LE(summary.max_queue_depth, stream.queue_capacity) << name;
+      }
+    }
   }
+}
+
+// Drains `handle`, checking the chunk contract: consecutive sequences from
+// 0, no empty chunks, none above `chunk_pairs`. Returns the pairs delivered.
+std::size_t DrainCheckingChunks(AsyncJoinHandle& handle,
+                                std::size_t chunk_pairs,
+                                const std::string& label) {
+  ResultChunk chunk;
+  uint64_t expected_sequence = 0;
+  std::size_t total_pairs = 0;
+  while (handle.Next(&chunk)) {
+    EXPECT_EQ(chunk.sequence, expected_sequence++) << label;
+    EXPECT_FALSE(chunk.pairs.empty()) << label;
+    EXPECT_LE(chunk.pairs.size(), chunk_pairs) << label;
+    total_pairs += chunk.pairs.size();
+  }
+  EXPECT_TRUE(handle.Wait().ok()) << label;
+  return total_pairs;
 }
 
 TEST(Streaming, ChunksHaveConsecutiveSequencesAndBoundedSize) {
   const Dataset r = testutil::Uniform(600, 11);
   const Dataset s = testutil::Uniform(600, 12);
+  const Dataset points_r = testutil::UniformPoints(600, 13);
   EngineConfig config;
   config.num_threads = 4;
   StreamOptions stream;
   stream.chunk_pairs = 100;
 
-  auto handle = RunJoinAsync(kPartitionedEngine, r, s, config, stream);
-  ASSERT_TRUE(handle.ok());
-  ResultChunk chunk;
-  uint64_t expected_sequence = 0;
-  std::size_t total_pairs = 0;
-  while (handle->Next(&chunk)) {
-    EXPECT_EQ(chunk.sequence, expected_sequence++);
-    EXPECT_FALSE(chunk.pairs.empty());
-    EXPECT_LE(chunk.pairs.size(), stream.chunk_pairs);
-    total_pairs += chunk.pairs.size();
+  for (const std::string& name : EngineRegistry::Global().Names()) {
+    if (IsFaultEngine(name)) continue;  // fail by design (see above)
+    const Dataset& rr = name == kCuSpatialLikeEngine ? points_r : r;
+    auto sync = RunJoin(name, rr, s, config);
+    ASSERT_TRUE(sync.ok()) << name << ": " << sync.status().ToString();
+    auto handle = RunJoinAsync(name, rr, s, config, stream);
+    ASSERT_TRUE(handle.ok()) << name << ": " << handle.status().ToString();
+    EXPECT_EQ(DrainCheckingChunks(*handle, stream.chunk_pairs, name),
+              sync->result.size())
+        << name;
   }
-  EXPECT_TRUE(handle->Wait().ok());
 
+  // The warm path streams its finished result through the same stager.
+  DatasetRegistry registry;
+  registry.Put("r", r);
+  registry.Put("s", s);
+  auto warm =
+      RunJoinAsync(registry, kPartitionedEngine, "r", "s", config, stream);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   auto sync = RunJoin(kPartitionedEngine, r, s, config);
   ASSERT_TRUE(sync.ok());
-  EXPECT_EQ(total_pairs, sync->result.size());
+  EXPECT_EQ(DrainCheckingChunks(*warm, stream.chunk_pairs, "warm"),
+            sync->result.size());
 }
 
 TEST(Streaming, BackpressureBoundsQueueAgainstSlowConsumer) {
@@ -279,7 +323,7 @@ TEST(Streaming, ExplicitShardCountStreamsIdenticalResult) {
   for (const int shards : {1, 2, 7, 64}) {
     StreamOptions stream;
     stream.num_shards = shards;
-    auto handle = RunJoinAsync(kAsyncEngine, r, s, config, stream);
+    auto handle = RunJoinAsync(kPartitionedEngine, r, s, config, stream);
     ASSERT_TRUE(handle.ok());
     StreamSummary summary = handle->Collect();
     ASSERT_TRUE(summary.status.ok()) << summary.status.ToString();
@@ -462,6 +506,17 @@ TEST(Streaming, AccelInvalidConfigFailsFast) {
   EngineConfig config;
   config.accel_tile_cap = 0;
   auto handle = RunJoinAsync(kAccelPbsmEngine, d, d, config);
+  EXPECT_FALSE(handle.ok());
+  EXPECT_EQ(handle.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(Streaming, PbsmInvalidConfigFailsFast) {
+  // An engine with no streaming of its own still rejects a bad config at
+  // RunJoinAsync, not later in Wait().
+  const Dataset d = testutil::Uniform(10, 84);
+  EngineConfig config;
+  config.num_partitions = 0;
+  auto handle = RunJoinAsync(kPbsmEngine, d, d, config);
   EXPECT_FALSE(handle.ok());
   EXPECT_EQ(handle.status().code(), StatusCode::kInvalidArgument);
 }

@@ -121,7 +121,7 @@ TEST(AccelEngine, ExecuteStreamingConcatenatesToExecuteResult) {
           auto& pairs = streamed.mutable_pairs();
           pairs.insert(pairs.end(), batch.begin(), batch.end());
         },
-        nullptr);
+        nullptr, {}, nullptr);
     ASSERT_TRUE(st.ok()) << name << ": " << st.ToString();
     EXPECT_GT(batches, 1u) << name << ": expected multiple write-unit "
                            << "flushes at this result cardinality";
@@ -166,11 +166,13 @@ TEST(AccelEngine, ExecuteStreamingRequiresSinkAndPlan) {
   auto engine = MakeAccelEngine(kAccelPbsmEngine, {});
   ASSERT_TRUE(engine.ok());
   EXPECT_EQ((*engine)->ExecuteStreaming([](std::vector<ResultPair>) {},
-                                        nullptr)
+                                        nullptr, {}, nullptr)
                 .code(),
             StatusCode::kInternal);  // before Plan
   ASSERT_TRUE((*engine)->Plan(d, d).ok());
-  EXPECT_EQ((*engine)->ExecuteStreaming(AccelBatchSink(), nullptr).code(),
+  EXPECT_EQ((*engine)
+                ->ExecuteStreaming(ResultSink(), nullptr, {}, nullptr)
+                .code(),
             StatusCode::kInvalidArgument);  // null sink
 }
 

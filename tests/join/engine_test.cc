@@ -29,13 +29,19 @@ TEST(EngineRegistry, AllBuiltinsRegistered) {
   for (const char* expected :
        {kNestedLoopEngine, kPlaneSweepEngine, kPbsmEngine,
         kCuSpatialLikeEngine, kSyncTraversalEngine,
-        kParallelSyncTraversalEngine, kPartitionedEngine, kSimdEngine,
+        kParallelSyncTraversalEngine, kPartitionedEngine,
         kAccelBfsEngine, kAccelPbsmEngine, kAccelPbsmMultiEngine,
         kDistPbsmEngine, kDistAccelEngine, kInterpretedEngineBaseline,
         kBigDataFrameworkBaseline}) {
     EXPECT_TRUE(std::count(names.begin(), names.end(), expected) == 1)
         << "missing builtin engine: " << expected;
     EXPECT_TRUE(EngineRegistry::Global().Contains(expected));
+  }
+  // Config knobs are not engines: the SIMD tile join is
+  // partitioned + TileJoin::kSimd, and streaming is RunJoinAsync on any
+  // engine.
+  for (const char* knob : {"simd", "async"}) {
+    EXPECT_FALSE(EngineRegistry::Global().Contains(knob)) << knob;
   }
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
 }

@@ -163,17 +163,25 @@ TEST_P(EngineOracleTest, EveryRegisteredEngineMatchesNestedLoop) {
     const Dataset& r = point_only ? points_r : rects_r;
     JoinResult& oracle = point_only ? point_oracle : rect_oracle;
 
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      EngineConfig config;
-      config.num_threads = threads;
-      config.num_partitions = 16;  // small stripes stress dedup at test scale
-      auto run = RunJoin(name, r, rects_s, config);
-      ASSERT_TRUE(run.ok()) << name << " threads=" << threads << ": "
-                            << run.status().ToString();
-      EXPECT_TRUE(JoinResult::SameMultiset(oracle, run->result))
-          << name << " threads=" << threads << " density=" << density.label
-          << ": expected " << oracle.size() << " pairs, got "
-          << run->result.size();
+    // The default tile join, then the batched SIMD filter kernel: engines
+    // whose cells or stripes run a tile join must agree under both.
+    for (const TileJoin tile_join :
+         {EngineConfig{}.tile_join, TileJoin::kSimd}) {
+      for (const std::size_t threads : {1u, 2u, 8u}) {
+        EngineConfig config;
+        config.num_threads = threads;
+        config.num_partitions = 16;  // small stripes stress dedup at test scale
+        config.tile_join = tile_join;
+        auto run = RunJoin(name, r, rects_s, config);
+        ASSERT_TRUE(run.ok()) << name << " threads=" << threads
+                              << " tile_join=" << TileJoinToString(tile_join)
+                              << ": " << run.status().ToString();
+        EXPECT_TRUE(JoinResult::SameMultiset(oracle, run->result))
+            << name << " threads=" << threads
+            << " tile_join=" << TileJoinToString(tile_join)
+            << " density=" << density.label << ": expected " << oracle.size()
+            << " pairs, got " << run->result.size();
+      }
     }
   }
 }

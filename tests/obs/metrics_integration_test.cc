@@ -107,8 +107,8 @@ TEST(MetricsIntegrationTest, ServedDistJoinMatchesLegacyStructs) {
   EXPECT_NE(json.find("\"swiftspatial_service_admitted_total\""),
             std::string::npos);
 
-  // Deprecated alias still returns the same consistent snapshot.
-  EXPECT_EQ(service.stats().admitted, snap.admitted);
+  // The service is idle, so a second snapshot reads the same counters.
+  EXPECT_EQ(service.Snapshot().admitted, snap.admitted);
 }
 
 }  // namespace

@@ -2,11 +2,12 @@
 # Repo lint, run in CI (see .github/workflows/ci.yml) and locally via
 #   tools/lint.sh
 #
-# Six checks. The first two keep the compile-time concurrency
+# Seven checks. The first two keep the compile-time concurrency
 # verification honest (src/common/sync.h); the third keeps the metric
 # namespace coherent (src/obs/); the next two keep the error-path
-# verification honest (src/common/status.h); the last keeps library
-# diagnostics flowing through the structured logger (src/obs/log.h):
+# verification honest (src/common/status.h); the sixth keeps library
+# diagnostics flowing through the structured logger (src/obs/log.h); the
+# last keeps the engine and streaming layers apart:
 #
 #  1. Raw synchronization primitives are banned outside src/common/sync.h.
 #     Code that locks through std::mutex / std::lock_guard /
@@ -53,6 +54,14 @@
 #     side channel). Tests, benches, and examples are main()-owning
 #     programs: their stderr belongs to them, so the check covers src/
 #     only.
+#
+#  7. Layering between engines and streaming. src/exec/streaming.cc
+#     reaches every engine through JoinEngine (ExecuteStreaming,
+#     ValidateConfig), so it includes neither join/accel_engine.h nor
+#     dist/dist_engine.h: a backend-specific include there is the first
+#     step back to per-backend producers. And nothing under src/join/
+#     includes exec/streaming.h or exec/service.h: engines stream
+#     themselves, the serving layer sits on top of them, never below.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -221,11 +230,29 @@ if [ -n "$stderr_hits" ]; then
   fail=1
 fi
 
+# --- Check 7: engine/streaming layering -----------------------------------
+layer_hits=$( {
+  grep -nE '#include "(join/accel_engine|dist/dist_engine)\.h"' \
+    src/exec/streaming.cc | sed 's|^|src/exec/streaming.cc:|'
+  grep -rnE '#include "exec/(streaming|service)\.h"' src/join \
+    --include='*.h' --include='*.cc'
+} || true)
+if [ -n "$layer_hits" ]; then
+  echo "FAIL: engine/streaming layering. src/exec/streaming.cc reaches"
+  echo "engines only through JoinEngine, and src/join/ never includes the"
+  echo "streaming or serving layer:"
+  echo
+  echo "$layer_hits"
+  echo
+  fail=1
+fi
+
 if [ "$fail" -eq 0 ]; then
   echo "lint OK: no raw sync primitives outside src/common/sync.h,"
   echo "no unlisted NO_THREAD_SAFETY_ANALYSIS escapes, all metric"
   echo "names follow swiftspatial_<layer>_<name>, no unlisted or"
   echo "uncommented Status::IgnoreError() escapes, no (void)-cast"
-  echo "call expressions, and no raw stderr diagnostics in src/."
+  echo "call expressions, no raw stderr diagnostics in src/, and"
+  echo "no engine/streaming layering violations."
 fi
 exit "$fail"
