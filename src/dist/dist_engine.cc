@@ -104,11 +104,12 @@ class DistEngineImpl : public DistJoinEngine {
     return std::shared_ptr<const PreparedPlan>(std::move(plan));
   }
 
-  Status ExecutePrepared(const PreparedPlan& plan, JoinResult* out,
-                         JoinStats* stats) override {
-    if (out == nullptr) {
+  Status ExecutePrepared(const PreparedPlan& plan, const ResultSink& sink,
+                         JoinStats* stats, exec::CancellationToken cancel,
+                         obs::ResourceAccumulator* usage) override {
+    if (!sink) {
       return Status::InvalidArgument(
-          "ExecutePrepared requires a non-null result");
+          "ExecutePrepared requires a callable sink");
     }
     if (plan.engine() != name_) {
       return Status::InvalidArgument("prepared plan belongs to engine \"" +
@@ -120,17 +121,13 @@ class DistEngineImpl : public DistJoinEngine {
       return Status::Internal("prepared plan type mismatch for engine " +
                               name_);
     }
-    *out = JoinResult();
     // The cached options froze the PREPARING request's trace context; a
     // warm execution must carry its own, so override from this engine
     // instance's config (one engine instance per request).
     DistJoinOptions options = typed->options;
     options.trace = config_.trace;
-    auto report = RunPlannedJoin(plan.r(), plan.s(), typed->shard_plan,
-                                 options, out, stats);
-    if (!report.ok()) return report.status();
-    report_ = std::move(*report);
-    return Status::OK();
+    return Stream(plan.r(), plan.s(), typed->shard_plan, options, sink,
+                  stats, std::move(cancel), usage);
   }
 
   Status Plan(const Dataset& r, const Dataset& s) override {
@@ -175,12 +172,24 @@ class DistEngineImpl : public DistJoinEngine {
       return Status::InvalidArgument(
           "ExecuteStreaming requires a callable sink");
     }
+    return Stream(*r_, *s_, plan_, options_, sink, stats, std::move(cancel),
+                  usage);
+  }
+
+  const ShardPlan& plan() const override { return plan_; }
+
+ private:
+  // Runs the cluster over `plan`, handing each committed shard to `sink`;
+  // the token stops the cluster mid-exchange.
+  Status Stream(const Dataset& r, const Dataset& s, const ShardPlan& plan,
+                const DistJoinOptions& options, const ResultSink& sink,
+                JoinStats* stats, exec::CancellationToken cancel,
+                obs::ResourceAccumulator* usage) {
     const ShardSink shard_sink = [&sink](int, std::vector<ResultPair> pairs) {
       sink(std::move(pairs));
     };
-    auto report = RunPlannedJoin(*r_, *s_, plan_, options_,
-                                 /*result=*/nullptr, stats, shard_sink,
-                                 std::move(cancel));
+    auto report = RunPlannedJoin(r, s, plan, options, /*result=*/nullptr,
+                                 stats, shard_sink, std::move(cancel));
     if (!report.ok()) return report.status();
     report_ = std::move(*report);
     // Shard retries are this run's fault-recovery cost; surface them in the
@@ -191,9 +200,6 @@ class DistEngineImpl : public DistJoinEngine {
     return Status::OK();
   }
 
-  const ShardPlan& plan() const override { return plan_; }
-
- private:
   std::string name_;
   EngineConfig config_;
   bool use_accel_;

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "geometry/hilbert.h"
-#include "grid/uniform_grid.h"
 #include "join/partitioned_driver.h"
 
 namespace swiftspatial::dist {
@@ -147,30 +146,24 @@ Result<ShardPlan> PlanShards(const Dataset& r, const Dataset& s,
   plan.node_cost.assign(static_cast<std::size_t>(num_nodes), 0);
   if (r.empty() || s.empty()) return plan;
 
-  // One shared grid decision (DeriveJoinGrid) keeps shard ids -- grid tile
-  // indexes -- stable across the single-machine drivers and this planner.
+  // One grid decision (DeriveJoinGrid) and one cell builder
+  // (AssignGridCells) shared with the `partitioned` engine keep shard ids
+  // -- grid tile indexes -- and their id lists identical to its cells.
   const JoinGridSpec spec = DeriveJoinGrid(r, s, grid_cols, grid_rows);
   if (!spec.has_grid) return plan;
-  const int cols = spec.cols;
-  const int rows = spec.rows;
-  plan.grid_cols = cols;
-  plan.grid_rows = rows;
+  plan.grid_cols = spec.cols;
+  plan.grid_rows = spec.rows;
 
-  const UniformGrid grid(spec.extent, cols, rows);
-  auto r_assign = grid.Assign(r);
-  auto s_assign = grid.Assign(s);
-
-  for (int t = 0; t < grid.num_tiles(); ++t) {
-    if (r_assign[t].empty() || s_assign[t].empty()) continue;
+  for (PartitionedCell& cell : AssignGridCells(r, s, spec)) {
     Shard shard;
-    shard.id = t;
-    shard.dedup_tile = grid.DedupTileByIndex(t);
-    shard.r_ids = std::move(r_assign[t]);
-    shard.s_ids = std::move(s_assign[t]);
+    shard.id = cell.tile;
+    shard.dedup_tile = cell.dedup_tile;
+    shard.r_ids = std::move(cell.r_ids);
+    shard.s_ids = std::move(cell.s_ids);
     plan.shards.push_back(std::move(shard));
   }
 
-  Place(plan.shards, num_nodes, placement, cols, rows, &plan.owner,
+  Place(plan.shards, num_nodes, placement, spec.cols, spec.rows, &plan.owner,
         &plan.node_cost);
 
   AccountReplicas(plan.shards, plan.owner, r.size(), /*r_side=*/true, &plan);

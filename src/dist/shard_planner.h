@@ -1,11 +1,12 @@
 // ShardPlanner: turns one spatial join into node-placed shards.
 //
-// Both inputs are sharded onto a uniform grid exactly as the single-machine
-// PartitionedDriver does (multi-assignment, reference-point dedup tiles via
-// UniformGrid::DedupTileByIndex), so a shard is the same unit the banded
-// streaming planner and hw/multi_device already use -- here it becomes the
-// unit of *distribution*. Each populated grid cell is one Shard carrying a
-// stable id (its grid tile index: a pure function of the grid geometry, so a
+// Both inputs are sharded onto a uniform grid by the single-machine grid
+// join's own cell builder (AssignGridCells in join/partitioned_driver.h:
+// multi-assignment, reference-point dedup tiles via
+// UniformGrid::DedupTileByIndex), so a shard is the same unit the
+// `partitioned` engine and hw/multi_device already use -- here it becomes
+// the unit of *distribution*. Each populated grid cell is one Shard carrying
+// a stable id (its grid tile index: a pure function of the grid geometry, so a
 // shard re-executed after a node failure reports the same id), its dedup
 // tile, and the per-side object id lists. The planner then maps shards onto
 // nodes under one of the PlacementPolicy strategies and accounts the

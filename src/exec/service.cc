@@ -50,7 +50,6 @@ JoinService::JoinService(const JoinServiceOptions& options)
                     ? options.registry
                     : std::make_shared<DatasetRegistry>(
                           RegistryOptionsFor(options))),
-      pool_(std::max<std::size_t>(1, options.worker_threads)),
       m_admitted_(metrics_->GetCounter("swiftspatial_service_admitted_total", {}, "Requests past admission control")),
       m_rejected_(metrics_->GetCounter("swiftspatial_service_rejected_total", {}, "Submissions bounced by admission control")),
       m_rejected_deadline_(metrics_->GetCounter("swiftspatial_service_rejected_deadline_total", {}, "Rejections due to estimated wait exceeding the deadline")),
@@ -101,11 +100,10 @@ Result<AsyncJoinHandle> JoinService::Submit(const std::string& tenant,
                                             const EngineConfig& config,
                                             const RequestOptions& request) {
   auto span = StartRequestSpan(tenant, engine);
-  EngineConfig cfg = config;
-  if (span) cfg.trace = span->context();
+  const EngineConfig cfg = RequestConfig(config, span.get());
   StreamOptions stream = options_.stream;
   stream.metrics = metrics_;
-  auto deferred = MakeJoinStream(engine, r, s, cfg, stream, &pool_);
+  auto deferred = MakeJoinStream(engine, r, s, cfg, stream);
   if (!deferred.ok()) return deferred.status();
   return Admit(std::move(*deferred), tenant, request, std::move(span));
 }
@@ -117,8 +115,7 @@ Result<AsyncJoinHandle> JoinService::SubmitNamed(const std::string& tenant,
                                                  const EngineConfig& config,
                                                  const RequestOptions& request) {
   auto span = StartRequestSpan(tenant, engine);
-  EngineConfig cfg = config;
-  if (span) cfg.trace = span->context();
+  const EngineConfig cfg = RequestConfig(config, span.get());
   StreamOptions stream = options_.stream;
   stream.metrics = metrics_;
   auto deferred = MakeRegisteredJoinStream(registry_.get(), engine, r_name,
@@ -129,6 +126,15 @@ Result<AsyncJoinHandle> JoinService::SubmitNamed(const std::string& tenant,
 
 DatasetHandle JoinService::RegisterDataset(std::string name, Dataset dataset) {
   return registry_->Put(std::move(name), std::move(dataset));
+}
+
+EngineConfig JoinService::RequestConfig(const EngineConfig& config,
+                                       const obs::ScopedSpan* span) const {
+  EngineConfig cfg = config;
+  cfg.num_threads = std::min(
+      cfg.num_threads, std::max<std::size_t>(1, options_.worker_threads));
+  if (span != nullptr) cfg.trace = span->context();
+  return cfg;
 }
 
 std::shared_ptr<obs::ScopedSpan> JoinService::StartRequestSpan(

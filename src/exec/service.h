@@ -3,10 +3,10 @@
 // Where faas/service.{h,cc} *models* a queueing system analytically (§4.2's
 // Amdahl-style kernel simulation), JoinService actually serves: concurrent
 // tenants Submit() joins, admission control bounds the pending queue, a
-// fixed dispatcher budget runs at most `max_concurrent` joins at once on a
-// shared worker pool, and each admitted request streams its results back
-// through the same AsyncJoinHandle contract as exec::RunJoinAsync --
-// chunked, backpressured, cancellable mid-stream.
+// fixed dispatcher budget runs at most `max_concurrent` joins at once, each
+// on at most `worker_threads` workers, and each admitted request streams
+// its results back through the same AsyncJoinHandle contract as
+// exec::RunJoinAsync -- chunked, backpressured, cancellable mid-stream.
 //
 //   JoinServiceOptions options;
 //   options.worker_threads = 8;
@@ -69,7 +69,6 @@
 
 #include "common/status.h"
 #include "common/sync.h"
-#include "common/thread_pool.h"
 #include "datagen/dataset.h"
 #include "exec/dataset_registry.h"
 #include "exec/streaming.h"
@@ -88,8 +87,12 @@ enum class SchedulingPolicy {
 const char* SchedulingPolicyToString(SchedulingPolicy p);
 
 struct JoinServiceOptions {
-  /// Workers in the shared tile-task pool (the compute budget all running
-  /// requests divide).
+  /// Per-request worker cap: every admitted request runs with
+  /// num_threads = min(EngineConfig::num_threads, worker_threads). The
+  /// service keeps no pool of its own -- each running join parallelises on
+  /// workers it owns for the run -- so at most max_concurrent *
+  /// worker_threads join workers run at once. (With the default config of
+  /// 4 threads and 4 workers per request the cap changes nothing.)
   std::size_t worker_threads = 4;
   /// Requests running at once; the rest queue. This is the serving-side
   /// analogue of the FPGA's kernel count.
@@ -296,6 +299,11 @@ class JoinService {
                                 std::shared_ptr<obs::ScopedSpan> request_span)
       EXCLUDES(mu_);
 
+  /// The config a request runs with: num_threads capped at worker_threads,
+  /// and the request's trace context when `span` is set.
+  EngineConfig RequestConfig(const EngineConfig& config,
+                             const obs::ScopedSpan* span) const;
+
   /// Mints the per-request root span (tagged tenant/engine), or null when
   /// options_.span_buffer is unset.
   std::shared_ptr<obs::ScopedSpan> StartRequestSpan(
@@ -326,7 +334,6 @@ class JoinService {
   const JoinServiceOptions options_;
   obs::MetricsRegistry* const metrics_;
   std::shared_ptr<DatasetRegistry> registry_;
-  ThreadPool pool_;
 
   // Pre-resolved outcome counters (lock-free to bump; see obs/metrics.h).
   obs::Counter* const m_admitted_;

@@ -9,10 +9,6 @@
 #include "common/logging.h"
 #include "common/sync.h"
 #include "common/stopwatch.h"
-#include "exec/task_graph.h"
-#include "grid/uniform_grid.h"
-#include "join/partitioned_driver.h"
-#include "join/pbsm.h"
 #include "obs/log.h"
 
 namespace swiftspatial::exec {
@@ -31,8 +27,6 @@ class StreamState {
   CancellationToken token() const { return cancel_.token(); }
   bool cancelled() const { return cancel_.cancelled(); }
 
-  enum class PushResult { kPushed, kFull, kCancelled };
-
   /// Enqueues one chunk, blocking while the queue is full. Returns false
   /// (dropping the chunk) once the stream is cancelled. Empty pair sets are
   /// not enqueued.
@@ -45,20 +39,6 @@ class StreamState {
     if (cancel_.cancelled()) return false;
     PushLocked(std::move(pairs));
     return true;
-  }
-
-  /// Non-blocking variant: kFull leaves the caller holding the pairs. Used
-  /// by tile tasks on a *shared* pool, where blocking a worker on one
-  /// stream's backpressure could starve (and with sequential consumers,
-  /// deadlock) every other stream on the pool.
-  PushResult TryPush(std::vector<ResultPair>* pairs) EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    if (cancel_.cancelled()) return PushResult::kCancelled;
-    if (pairs->empty()) return PushResult::kPushed;
-    if (queue_.size() >= capacity_) return PushResult::kFull;
-    PushLocked(std::move(*pairs));
-    pairs->clear();
-    return PushResult::kPushed;
   }
 
   /// Dequeues the next chunk; false at end-of-stream. Buffered chunks are
@@ -197,270 +177,13 @@ namespace {
 
 using internal::StreamState;
 
-// Per-worker chunk staging: each pool worker owns one slot and appends cell
-// outputs there lock-free (one worker thread = one running task at a time,
-// and slots belong to a single stream even when several streams share a
-// pool). Full chunks are carved off the back -- O(chunk) with no front
-// shifting; chunk order across workers is irrelevant, the result is a
-// multiset -- and pushed to the bounded queue, where a full queue blocks
-// only the pushing worker.
-struct WorkerSlot {
-  JoinResult buffer;
-  JoinStats stats;
-};
-
-// Carves full chunks out of `slot` and ships them. Returns false once the
-// stream is cancelled. With flush_tail, also ships the final partial chunk.
-//
-// may_block selects the backpressure mode. Streams on their own private
-// pool (RunJoinAsync) block the pushing worker when the queue is full --
-// the hard memory bound. Streams on a *shared* pool (JoinService) must
-// never park a pool worker on one consumer's backpressure (with sequential
-// consumers that deadlocks every stream on the pool), so a full queue
-// leaves the pairs staged in the slot; the producer's final drain, which
-// runs on a dispatcher thread and may safely block, ships the remainder.
-bool FlushSlot(WorkerSlot* slot, StreamState* state, std::size_t chunk_pairs,
-               bool flush_tail, bool may_block) {
-  std::vector<ResultPair>& pairs = slot->buffer.mutable_pairs();
-  for (;;) {
-    if (pairs.size() < chunk_pairs && !(flush_tail && !pairs.empty())) {
-      return true;
-    }
-    // Carve from the back: O(chunk), no front shifting; chunk order across
-    // workers is irrelevant, the result is a multiset.
-    std::vector<ResultPair> chunk;
-    if (pairs.size() <= chunk_pairs) {
-      chunk = std::move(pairs);
-      pairs.clear();
-    } else {
-      chunk.assign(pairs.end() - chunk_pairs, pairs.end());
-      pairs.resize(pairs.size() - chunk_pairs);
-    }
-    if (may_block) {
-      if (!state->Push(std::move(chunk))) return false;
-    } else {
-      const auto result = state->TryPush(&chunk);
-      if (result == StreamState::PushResult::kCancelled) return false;
-      if (result == StreamState::PushResult::kFull) {
-        // Restage and stop: a later flush or the final drain ships it.
-        pairs.insert(pairs.end(), chunk.begin(), chunk.end());
-        return true;
-      }
-    }
-  }
-}
-
-// Id lists + dedup tile of one populated grid cell, shared with the task
-// closure (std::function requires copyable captures).
-struct CellWork {
-  Box dedup_tile;
-  std::vector<ObjectId> r_ids;
-  std::vector<ObjectId> s_ids;
-};
-
-// An object with its precomputed grid tile range: TileRange runs once, in
-// the bucketing prologue, and the per-band assignment reuses the stored
-// range instead of re-deriving it.
-struct PlacedObject {
-  ObjectId id;
-  int tx0, ty0, tx1, ty1;
-};
-
-// The banded grid producer: plan/execute overlap on a TaskGraph.
-//
-// Serial prologue (the only part ordered before everything): compute the
-// extent, size the grid, and bucket both inputs into contiguous row bands by
-// a row-range scan. Then each band becomes a *plan task* that builds the
-// band's per-cell id lists and dynamically adds one join task per populated
-// cell -- so while band k's cells are joining (and their chunks are already
-// streaming out), band k+1 is still being partitioned. Dedup is the same
-// reference-point rule against the same global grid tiles as the
-// synchronous driver, which is why the output multiset is identical.
-void RunNativeProducer(const Dataset& r, const Dataset& s, EngineConfig config,
-                       StreamOptions opts, ThreadPool* shared_pool,
-                       std::shared_ptr<StreamState> state) {
-  StageTiming timing;
-  Stopwatch plan_sw;
-  obs::ScopedSpan plan_span(config.trace, "plan");
-
-  if (config.validate_inputs) {
-    for (const Dataset* d : {&r, &s}) {
-      Status st = d->ValidateBoxes();
-      if (!st.ok()) {
-        state->Close(std::move(st), JoinStats{}, timing);
-        return;
-      }
-    }
-  }
-  // One shared grid decision (DeriveJoinGrid) keeps the banded streaming
-  // shards identical to PartitionedDriver's and the dist ShardPlanner's.
-  const JoinGridSpec spec =
-      DeriveJoinGrid(r, s, config.grid_cols, config.grid_rows);
-  if (!spec.has_grid) {
-    state->Close(Status::OK(), JoinStats{}, timing);
-    return;
-  }
-  const int cols = spec.cols;
-  const int rows = spec.rows;
-  const UniformGrid grid(spec.extent, cols, rows);
-
-  const int shards =
-      opts.num_shards > 0
-          ? std::min(opts.num_shards, rows)
-          : std::min<int>(rows,
-                          std::max<int>(2, static_cast<int>(
-                                               config.num_threads)));
-  std::vector<int> band_begin(shards + 1);
-  for (int b = 0; b <= shards; ++b) {
-    band_begin[b] = static_cast<int>(
-        static_cast<long long>(b) * rows / shards);
-  }
-  std::vector<int> row_band(rows);
-  for (int b = 0; b < shards; ++b) {
-    for (int y = band_begin[b]; y < band_begin[b + 1]; ++y) row_band[y] = b;
-  }
-
-  // Bucketing: the one serial O(n) pass. Each object's tile range is
-  // computed exactly once (the same TileRange work the synchronous Plan
-  // pays) and stored with the id, so the per-band plan tasks only
-  // distribute ids into cells.
-  std::vector<std::vector<PlacedObject>> band_r(shards), band_s(shards);
-  const auto bucket = [&](const Dataset& d,
-                          std::vector<std::vector<PlacedObject>>& bands) {
-    for (auto& band : bands) band.reserve(d.size() / shards + 1);
-    for (std::size_t i = 0; i < d.size(); ++i) {
-      PlacedObject p;
-      p.id = static_cast<ObjectId>(i);
-      grid.TileRange(d.box(i), &p.tx0, &p.ty0, &p.tx1, &p.ty1);
-      for (int b = row_band[p.ty0]; b <= row_band[p.ty1]; ++b) {
-        bands[b].push_back(p);
-      }
-    }
-  };
-  bucket(r, band_r);
-  bucket(s, band_s);
-  timing.plan_seconds = plan_sw.ElapsedSeconds();
-  plan_span.End();
-
-  obs::ScopedSpan exec_span(config.trace, "execute");
-  Stopwatch exec_sw;
-  std::optional<ThreadPool> owned_pool;
-  ThreadPool* pool = shared_pool;
-  // Workers on an exclusive pool may block on backpressure (hard memory
-  // bound); workers on a shared pool must not (see FlushSlot).
-  const bool exclusive_pool = shared_pool == nullptr;
-  if (pool == nullptr) {
-    owned_pool.emplace(std::max<std::size_t>(1, config.num_threads));
-    pool = &*owned_pool;
-  }
-
-  const std::size_t chunk_pairs = std::max<std::size_t>(1, opts.chunk_pairs);
-  std::vector<WorkerSlot> slots(pool->num_threads());
-  TaskGraph graph(pool, state->token(), exec_span.context(), state->usage());
-
-  for (int b = 0; b < shards; ++b) {
-    graph.Add([&, b] {
-      const int row0 = band_begin[b];
-      const int row1 = band_begin[b + 1];
-      if (row0 >= row1) return;
-      const int band_tiles = (row1 - row0) * cols;
-      std::vector<std::vector<ObjectId>> r_cells(band_tiles);
-      std::vector<std::vector<ObjectId>> s_cells(band_tiles);
-      const auto assign = [&](const std::vector<PlacedObject>& placed,
-                              std::vector<std::vector<ObjectId>>& cells) {
-        for (const PlacedObject& p : placed) {
-          for (int ty = std::max(p.ty0, row0);
-               ty <= std::min(p.ty1, row1 - 1); ++ty) {
-            for (int tx = p.tx0; tx <= p.tx1; ++tx) {
-              cells[(ty - row0) * cols + tx].push_back(p.id);
-            }
-          }
-        }
-      };
-      assign(band_r[b], r_cells);
-      assign(band_s[b], s_cells);
-
-      auto cells = std::make_shared<std::vector<CellWork>>();
-      for (int t = 0; t < band_tiles; ++t) {
-        if (r_cells[t].empty() || s_cells[t].empty()) continue;
-        CellWork work;
-        const int global_tile = (row0 + t / cols) * cols + t % cols;
-        work.dedup_tile = grid.DedupTileByIndex(global_tile);
-        work.r_ids = std::move(r_cells[t]);
-        work.s_ids = std::move(s_cells[t]);
-        cells->push_back(std::move(work));
-      }
-      if (cells->empty()) return;
-      // Largest cells first, then strided groups: group g joins cells
-      // g, g+G, g+2G, ... -- balanced batches that amortise per-task
-      // dispatch over many (often tiny) cells. The per-wave group budget
-      // (kCellTaskGroupsPerWorker * workers, shared with the sync driver)
-      // is split across the bands so both paths dispatch at the same
-      // granularity.
-      std::sort(cells->begin(), cells->end(),
-                [](const CellWork& a, const CellWork& b) {
-                  return a.r_ids.size() * a.s_ids.size() >
-                         b.r_ids.size() * b.s_ids.size();
-                });
-      const std::size_t groups = std::min(
-          cells->size(),
-          std::max<std::size_t>(
-              1, kCellTaskGroupsPerWorker * pool->num_threads() /
-                     static_cast<std::size_t>(shards)));
-      for (std::size_t g = 0; g < groups; ++g) {
-        graph.Add([&, cells, g, groups] {
-          WorkerSlot& slot = slots[pool->CurrentWorkerIndex()];
-          for (std::size_t i = g; i < cells->size(); i += groups) {
-            const CellWork& work = (*cells)[i];
-            RunTileJoin(config.tile_join, r, s, work.r_ids, work.s_ids,
-                        &work.dedup_tile, &slot.buffer, &slot.stats);
-            // Stream full chunks as soon as they exist; stop early if the
-            // consumer cancelled.
-            if (!FlushSlot(&slot, state.get(), chunk_pairs,
-                           /*flush_tail=*/false, exclusive_pool)) {
-              return;
-            }
-          }
-          // Group boundary: ship the partial chunk too, so consumers see
-          // results at cell-group granularity instead of only at the end.
-          FlushSlot(&slot, state.get(), chunk_pairs, /*flush_tail=*/true,
-                    exclusive_pool);
-        });
-      }
-    });
-  }
-  graph.Wait();
-
-  JoinStats stats;
-  for (WorkerSlot& slot : slots) stats += slot.stats;
-  if (state->cancelled()) {
-    timing.execute_seconds = exec_sw.ElapsedSeconds();
-    state->Close(Status::Aborted("join cancelled mid-stream"), stats, timing);
-    return;
-  }
-  // Final drain runs on the producer thread (or a service dispatcher) --
-  // never on a pool worker -- so it may block on backpressure in both
-  // modes, shipping whatever the shared-pool mode left staged.
-  for (WorkerSlot& slot : slots) {
-    if (!FlushSlot(&slot, state.get(), chunk_pairs, /*flush_tail=*/true,
-                   /*may_block=*/true)) {
-      timing.execute_seconds = exec_sw.ElapsedSeconds();
-      state->Close(Status::Aborted("join cancelled mid-stream"), stats,
-                   timing);
-      return;
-    }
-  }
-  timing.execute_seconds = exec_sw.ElapsedSeconds();
-  state->Close(Status::OK(), stats, timing);
-}
-
 // Coalesces arbitrary-size producer batches into bounded chunks for the
 // stream queue: batches accumulate in a staging buffer and full chunks are
 // carved from the back (order across chunks is irrelevant -- the result is
 // a multiset; carving the front would shift the residue on every carve).
-// Every batch of the engine producer passes through it, whatever its native
-// granularity (a finished result, write-unit bursts, committed shards), so
-// chunk sizes stay bounded in both directions.
+// Every batch of the producer passes through it, whatever its native
+// granularity (a finished result, cell-group flushes, write-unit bursts,
+// committed shards), so chunk sizes stay bounded in both directions.
 class ChunkStager {
  public:
   ChunkStager(std::size_t chunk_pairs, StreamState* state)
@@ -501,8 +224,8 @@ class ChunkStager {
   bool push_failed_ = false;
 };
 
-// What the engine producer joins: caller-owned datasets (a cold stream) or
-// the names of datasets resident in a registry (a warm stream).
+// What the producer joins: caller-owned datasets (a cold stream) or the
+// names of datasets resident in a registry (a warm stream).
 struct EngineInputs {
   const Dataset* r = nullptr;
   const Dataset* s = nullptr;
@@ -511,21 +234,19 @@ struct EngineInputs {
   std::string s_name;
 };
 
-// The engine producer, behind every stream but the banded grid one: get a
-// plan, execute, and feed every batch through one ChunkStager.
+// The producer behind every stream: get a plan (a cold Plan, or the warm
+// registry's cached PreparedPlan), then ExecuteStreaming or ExecutePrepared
+// into one ChunkStager.
 //
-// A cold stream Plans the engine and calls ExecuteStreaming, so engines that
-// produce results incrementally stream while they run -- the simulated
-// device's write-unit bursts surface while its kernel still runs, the
-// cluster's committed shards while other nodes still join -- and every
-// other engine hands over its finished result. A warm stream fetches the
-// registry's cached PreparedPlan (on a hit the plan stage is just the
-// lookup), runs ExecutePrepared against it and streams the finished result;
+// Engines that produce results incrementally stream while they run -- the
+// grid join's cell groups, the simulated device's write-unit bursts, the
+// cluster's committed shards -- and every other engine hands over its
+// finished result. On a warm cache hit the plan stage is just the lookup;
 // the fetched plan pins its datasets, so a concurrent re-Put of either name
 // cannot pull the data out from under the join. The stream's token reaches
-// ExecuteStreaming (the cluster stops mid-exchange on it), and a cancelled
-// stream closes Aborted whether the engine stopped early or its remaining
-// batches were dropped.
+// the engine (unstarted cell groups are skipped, the cluster stops
+// mid-exchange), and a cancelled stream closes Aborted whether the engine
+// stopped early or its remaining batches were dropped.
 void RunEngineProducer(JoinEngine& engine, const EngineInputs& in,
                        const EngineConfig& config, const StreamOptions& opts,
                        StreamState* state) {
@@ -564,14 +285,11 @@ void RunEngineProducer(JoinEngine& engine, const EngineInputs& in,
   const ResultSink sink = [&stager](std::vector<ResultPair> batch) {
     stager.Add(std::move(batch));
   };
-  if (prepared != nullptr) {
-    JoinResult result;
-    st = engine.ExecutePrepared(*prepared, &result, &stats);
-    if (st.ok()) sink(std::move(result.mutable_pairs()));
-  } else {
-    st = engine.ExecuteStreaming(sink, &stats, state->token(),
-                                 state->usage());
-  }
+  st = prepared != nullptr
+           ? engine.ExecutePrepared(*prepared, sink, &stats, state->token(),
+                                    state->usage())
+           : engine.ExecuteStreaming(sink, &stats, state->token(),
+                                     state->usage());
   if (st.ok()) stager.FlushTail();
   timing.execute_seconds = sw.ElapsedSeconds();
   if (stager.push_failed() || state->cancelled()) {
@@ -581,7 +299,7 @@ void RunEngineProducer(JoinEngine& engine, const EngineInputs& in,
   state->Close(std::move(st), stats, timing);
 }
 
-// Fault containment for both producers: a producer that throws (misbehaving
+// Fault containment for the producer: a producer that throws (misbehaving
 // engine code, bad_alloc under pressure) must still close the stream with a
 // non-OK status -- the alternative is an uncaught exception tearing the
 // process down, or (if swallowed carelessly) consumers blocked in
@@ -776,21 +494,9 @@ std::size_t AsyncJoinHandle::max_queue_depth() const {
 Result<DeferredStream> MakeJoinStream(const std::string& engine,
                                       const Dataset& r, const Dataset& s,
                                       const EngineConfig& config,
-                                      const StreamOptions& stream,
-                                      ThreadPool* pool) {
+                                      const StreamOptions& stream) {
   auto created = CreateValidated(engine, config);
   if (!created.ok()) return created.status();
-  // The one engine routed by name: "partitioned" streams through the banded
-  // grid producer, whose plan/execute overlap and shared-pool scheduling a
-  // plan-then-ExecuteStreaming engine cannot express.
-  if (engine == kPartitionedEngine) {
-    return internal::StreamAccess::Defer(
-        engine, stream,
-        [&r, &s, config, stream,
-         pool](const std::shared_ptr<StreamState>& state) {
-          RunNativeProducer(r, s, config, stream, pool, state);
-        });
-  }
   EngineInputs in;
   in.r = &r;
   in.s = &s;
@@ -807,7 +513,7 @@ Result<AsyncJoinHandle> RunJoinAsync(const std::string& engine,
                                      const EngineConfig& config,
                                      const StreamOptions& stream) {
   return internal::StreamAccess::Start(
-      MakeJoinStream(engine, r, s, config, stream, /*pool=*/nullptr));
+      MakeJoinStream(engine, r, s, config, stream));
 }
 
 Result<DeferredStream> MakeRegisteredJoinStream(

@@ -14,23 +14,21 @@
 // pair a genuine result, no duplicates) and Wait()/Collect() report
 // Aborted.
 //
-// Two producers sit behind one handle type:
-//  - The banded grid producer serves "partitioned" cold streams: the grid
-//    is split into row bands, each band's cell assignment runs as a
-//    TaskGraph *plan task* that dynamically spawns that band's cell-join
-//    tasks, so planning of band k+1 overlaps joining of band k and the
-//    first chunks surface long before the last shard is even partitioned.
-//  - The engine producer serves every other stream. A cold stream runs
-//    Plan, then JoinEngine::ExecuteStreaming, so the engines that produce
-//    results incrementally stream while they run: the simulated device
-//    delivers each write-unit burst while its kernel still runs
-//    (join/accel_engine.h), the cluster each committed shard while other
-//    nodes still join, and a cancelled consumer stops the whole cluster
-//    mid-exchange (dist/dist_engine.h). Every other engine hands over its
-//    finished result. A warm stream (registered datasets) executes the
-//    cached plan and streams the finished result.
-// Either way the streaming contract (chunks, backpressure, cancellation,
-// Collect) is uniform across the whole registry.
+// One producer sits behind every handle, and it knows no engine by name: it
+// gets a plan -- a cold JoinEngine::Plan over caller-owned datasets, or the
+// warm DatasetRegistry's cached PreparedPlan -- and then runs
+// JoinEngine::ExecuteStreaming (cold) or JoinEngine::ExecutePrepared (warm)
+// into one chunk stager. Engines that produce results incrementally stream
+// while they run, cold or warm: `partitioned` hands each worker's pairs
+// over at every cell-group boundary (join/partitioned_driver.h), the
+// simulated device each write-unit burst while its kernel still runs
+// (join/accel_engine.h), and the cluster each committed shard while other
+// nodes still join (dist/dist_engine.h). Every other engine hands over its
+// finished result. The stream's token reaches the engine, so a cancelled
+// consumer skips unstarted cell groups or stops the cluster mid-exchange,
+// and the producer's accumulator receives the engine's task CPU. The
+// streaming contract (chunks, backpressure, cancellation, Collect) is
+// uniform across the whole registry.
 //
 // Collect() folds a stream back into a JoinRun; tests/exec/streaming_test.cc
 // proves it equal to the nested-loop oracle for every registered engine.
@@ -46,7 +44,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "datagen/dataset.h"
 #include "exec/dataset_registry.h"
 #include "exec/task_graph.h"
@@ -77,9 +74,6 @@ struct StreamOptions {
   std::size_t chunk_pairs = 8192;
   /// Maximum buffered chunks before the producer blocks (backpressure).
   std::size_t queue_capacity = 8;
-  /// Row bands for the banded grid producer; 0 = auto
-  /// (min(grid rows, max(2, num_threads))). Ignored by the engine producer.
-  int num_shards = 0;
   /// Sink for the swiftspatial_stream_* series (per-engine plan/execute
   /// latency, chunk counts), observed once per stream after the producer
   /// closes it; nullptr selects obs::MetricsRegistry::Global().
@@ -163,7 +157,7 @@ Result<AsyncJoinHandle> RunJoinAsync(const std::string& engine,
 
 /// A stream whose producer has not been started: the serving layer
 /// (exec::JoinService) admits requests by queueing the `producer` body and
-/// running it on its own dispatcher threads against a shared worker pool.
+/// running it on its own dispatcher threads.
 struct DeferredStream {
   AsyncJoinHandle handle;
   /// Runs the join to completion (blocking) and closes the stream. Run
@@ -190,24 +184,22 @@ struct DeferredStream {
   std::shared_ptr<obs::ResourceAccumulator> usage;
 };
 
-/// Like RunJoinAsync but defers producer execution to the caller and, when
-/// `pool` is non-null, schedules the banded grid producer's tile tasks on
-/// that pool instead of a private one (several streams may share one pool; each
-/// stream's graph is tracked independently).
+/// Like RunJoinAsync but defers producer execution to the caller. The
+/// engine parallelises per `config.num_threads` on workers of its own.
 Result<DeferredStream> MakeJoinStream(const std::string& engine,
                                       const Dataset& r, const Dataset& s,
                                       const EngineConfig& config = {},
-                                      const StreamOptions& stream = {},
-                                      ThreadPool* pool = nullptr);
+                                      const StreamOptions& stream = {});
 
 /// The warm-path variant of MakeJoinStream: `r_name`/`s_name` name datasets
 /// resident in `registry` instead of shipping boxes. The producer fetches
 /// the cached PreparedPlan (DatasetRegistry::GetOrPrepare) and streams
-/// ExecutePrepared output -- on a cache hit the stream's plan_seconds is
-/// just the cache lookup, effectively zero, which is the measurable
-/// warm-serving win. Fails fast with NotFound for unknown engines or
-/// unregistered dataset names and InvalidArgument for configurations
-/// rejectable without touching the data. `registry` must outlive the stream.
+/// ExecutePrepared output as the engine produces it -- on a cache hit the
+/// stream's plan_seconds is just the cache lookup, effectively zero, which
+/// is the measurable warm-serving win. Fails fast with NotFound for unknown
+/// engines or unregistered dataset names and InvalidArgument for
+/// configurations rejectable without touching the data. `registry` must
+/// outlive the stream.
 Result<DeferredStream> MakeRegisteredJoinStream(
     DatasetRegistry* registry, const std::string& engine,
     const std::string& r_name, const std::string& s_name,

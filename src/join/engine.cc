@@ -20,15 +20,14 @@
 namespace swiftspatial {
 namespace {
 
-// Shared by ExecutePrepared overrides: the output/name/type checks every
+// Shared by ExecutePrepared overrides: the sink/name/type checks every
 // native implementation needs before touching plan artifacts.
 template <typename PlanT>
 Result<const PlanT*> CheckPreparedPlan(const JoinEngine& engine,
                                        const PreparedPlan& plan,
-                                       JoinResult* out) {
-  if (out == nullptr) {
-    return Status::InvalidArgument(
-        "ExecutePrepared requires a non-null result");
+                                       const ResultSink& sink) {
+  if (!sink) {
+    return Status::InvalidArgument("ExecutePrepared requires a callable sink");
   }
   if (plan.engine() != engine.name()) {
     return Status::InvalidArgument("prepared plan belongs to engine \"" +
@@ -41,6 +40,12 @@ Result<const PlanT*> CheckPreparedPlan(const JoinEngine& engine,
                             engine.name());
   }
   return typed;
+}
+
+// Hands a finished result to `sink` in one batch (sinks never see empty
+// batches).
+void EmitResult(JoinResult result, const ResultSink& sink) {
+  if (!result.empty()) sink(std::move(result.mutable_pairs()));
 }
 
 // Base class factoring the Plan bookkeeping every adapter needs: common
@@ -115,6 +120,9 @@ class EngineBase : public JoinEngine {
                              JoinResult* out, JoinStats* stats) = 0;
 
   const EngineConfig& config() const { return config_; }
+  bool planned() const { return planned_; }
+  /// Valid once planned: whether Plan skipped PlanImpl for an empty input.
+  bool empty_inputs() const { return r_->empty() || s_->empty(); }
 
  private:
   std::string name_;
@@ -215,14 +223,15 @@ class PbsmEngine : public EngineBase {
     return std::shared_ptr<const PreparedPlan>(std::move(plan));
   }
 
-  Status ExecutePrepared(const PreparedPlan& plan, JoinResult* out,
-                         JoinStats* stats) override {
-    auto typed = CheckPreparedPlan<PbsmPreparedPlan>(*this, plan, out);
+  Status ExecutePrepared(const PreparedPlan& plan, const ResultSink& sink,
+                         JoinStats* stats, exec::CancellationToken,
+                         obs::ResourceAccumulator*) override {
+    auto typed = CheckPreparedPlan<PbsmPreparedPlan>(*this, plan, sink);
     if (!typed.ok()) return typed.status();
-    *out = JoinResult();
     if (!(*typed)->built) return Status::OK();
-    *out = PbsmJoin(plan.r(), plan.s(), (*typed)->partition,
-                    (*typed)->options, stats);
+    EmitResult(PbsmJoin(plan.r(), plan.s(), (*typed)->partition,
+                        (*typed)->options, stats),
+               sink);
     return Status::OK();
   }
 
@@ -376,16 +385,17 @@ class SyncTraversalEngine : public RTreeEngineBase {
  public:
   using RTreeEngineBase::RTreeEngineBase;
 
-  Status ExecutePrepared(const PreparedPlan& plan, JoinResult* out,
-                         JoinStats* stats) override {
-    auto typed = CheckPreparedPlan<RTreePreparedPlan>(*this, plan, out);
+  Status ExecutePrepared(const PreparedPlan& plan, const ResultSink& sink,
+                         JoinStats* stats, exec::CancellationToken,
+                         obs::ResourceAccumulator*) override {
+    auto typed = CheckPreparedPlan<RTreePreparedPlan>(*this, plan, sink);
     if (!typed.ok()) return typed.status();
-    *out = JoinResult();
     if (!(*typed)->r_tree.has_value()) return Status::OK();
-    *out = config().bfs
-               ? SyncTraversalBfs(*(*typed)->r_tree, *(*typed)->s_tree, stats)
-               : SyncTraversalDfs(*(*typed)->r_tree, *(*typed)->s_tree,
-                                  stats);
+    EmitResult(config().bfs ? SyncTraversalBfs(*(*typed)->r_tree,
+                                               *(*typed)->s_tree, stats)
+                            : SyncTraversalDfs(*(*typed)->r_tree,
+                                               *(*typed)->s_tree, stats),
+               sink);
     return Status::OK();
   }
 
@@ -402,14 +412,15 @@ class ParallelSyncTraversalEngine : public RTreeEngineBase {
  public:
   using RTreeEngineBase::RTreeEngineBase;
 
-  Status ExecutePrepared(const PreparedPlan& plan, JoinResult* out,
-                         JoinStats* stats) override {
-    auto typed = CheckPreparedPlan<RTreePreparedPlan>(*this, plan, out);
+  Status ExecutePrepared(const PreparedPlan& plan, const ResultSink& sink,
+                         JoinStats* stats, exec::CancellationToken,
+                         obs::ResourceAccumulator*) override {
+    auto typed = CheckPreparedPlan<RTreePreparedPlan>(*this, plan, sink);
     if (!typed.ok()) return typed.status();
-    *out = JoinResult();
     if (!(*typed)->r_tree.has_value()) return Status::OK();
-    *out = ParallelSyncTraversal(*(*typed)->r_tree, *(*typed)->s_tree,
-                                 TraversalOptions(), stats);
+    EmitResult(ParallelSyncTraversal(*(*typed)->r_tree, *(*typed)->s_tree,
+                                     TraversalOptions(), stats),
+               sink);
     return Status::OK();
   }
 
@@ -445,9 +456,11 @@ class ParallelSyncTraversalEngine : public RTreeEngineBase {
 // tile_join = TileJoin::kSimd the grid supplies thread scaling and the
 // batched SIMD filter kernel supplies per-cell predicate throughput.
 // ---------------------------------------------------------------------------
-// The cached artifact of grid planning: the shared immutable cell plan
-// (see PartitionedPlanState). ExecutePartitionedPlan reads it const with
-// per-call accumulators, so one plan serves concurrent warm executions.
+// The artifact of grid planning: the shared immutable cell plan (see
+// PartitionedPlanState). ExecutePartitionedPlan reads it const with
+// per-call accumulators, so one plan serves concurrent warm executions. A
+// cold Plan builds the same artifact over borrowed datasets, so cold and
+// warm runs execute one code path.
 class PartitionedPreparedPlan : public PreparedPlan {
  public:
   using PreparedPlan::PreparedPlan;
@@ -472,50 +485,79 @@ class PartitionedEngine : public EngineBase {
       std::shared_ptr<const Dataset> r,
       std::shared_ptr<const Dataset> s) override {
     SWIFT_RETURN_IF_ERROR(PrepareChecks(*r, *s));
-    auto plan = std::make_shared<PartitionedPreparedPlan>(name(), r, s);
-    if (!r->empty() && !s->empty()) {
-      auto state = PlanPartitionedCells(*r, *s, DriverOptions());
-      if (!state.ok()) return state.status();
-      plan->state = std::move(*state);
-    }
-    return std::shared_ptr<const PreparedPlan>(std::move(plan));
+    auto plan = PlanCells(std::move(r), std::move(s));
+    if (!plan.ok()) return plan.status();
+    return std::shared_ptr<const PreparedPlan>(std::move(*plan));
   }
 
-  Status ExecutePrepared(const PreparedPlan& plan, JoinResult* out,
-                         JoinStats* stats) override {
-    auto typed = CheckPreparedPlan<PartitionedPreparedPlan>(*this, plan, out);
+  Status ExecuteStreaming(const ResultSink& sink, JoinStats* stats,
+                          exec::CancellationToken cancel,
+                          obs::ResourceAccumulator* usage) override {
+    if (!planned()) {
+      return Status::Internal(
+          "ExecuteStreaming called before a successful Plan");
+    }
+    if (!sink) {
+      return Status::InvalidArgument(
+          "ExecuteStreaming requires a callable sink");
+    }
+    if (empty_inputs()) return Status::OK();
+    return ExecutePrepared(*cold_, sink, stats, std::move(cancel), usage);
+  }
+
+  Status ExecutePrepared(const PreparedPlan& plan, const ResultSink& sink,
+                         JoinStats* stats, exec::CancellationToken cancel,
+                         obs::ResourceAccumulator* usage) override {
+    auto typed = CheckPreparedPlan<PartitionedPreparedPlan>(*this, plan, sink);
     if (!typed.ok()) return typed.status();
-    *out = JoinResult();
     if ((*typed)->state == nullptr) return Status::OK();
-    *out = ExecutePartitionedPlan(*(*typed)->state, plan.r(), plan.s(),
-                                  config().tile_join, config().num_threads,
-                                  stats);
+    // The engine instance is per request, so its config carries this
+    // request's trace even when the plan came from the cache.
+    ExecutePartitionedPlan(*(*typed)->state, plan.r(), plan.s(),
+                           config().tile_join, config().num_threads, stats,
+                           &sink, cancel, usage, config().trace);
+    if (cancel.cancelled()) {
+      return Status::Aborted("partitioned join cancelled");
+    }
     return Status::OK();
   }
 
  protected:
   Status PlanImpl(const Dataset& r, const Dataset& s) override {
-    driver_ = PartitionedDriver(DriverOptions());
-    return driver_.Plan(r, s);
+    auto plan = PlanCells(BorrowDataset(r), BorrowDataset(s));
+    if (!plan.ok()) return plan.status();
+    cold_ = std::move(*plan);
+    return Status::OK();
   }
 
-  Status ExecuteImpl(const Dataset&, const Dataset&, JoinResult* out,
+  Status ExecuteImpl(const Dataset& r, const Dataset& s, JoinResult* out,
                      JoinStats* stats) override {
-    *out = driver_.Execute(stats);
+    *out = ExecutePartitionedPlan(*cold_->state, r, s, config().tile_join,
+                                  config().num_threads, stats);
     return Status::OK();
   }
 
  private:
-  PartitionedDriverOptions DriverOptions() const {
-    PartitionedDriverOptions options;
-    options.grid_cols = config().grid_cols;
-    options.grid_rows = config().grid_rows;
-    options.num_threads = config().num_threads;
-    options.tile_join = config().tile_join;
-    return options;
+  // Grid planning without the input checks (Plan and Prepare run those).
+  Result<std::shared_ptr<PartitionedPreparedPlan>> PlanCells(
+      std::shared_ptr<const Dataset> r,
+      std::shared_ptr<const Dataset> s) const {
+    auto plan = std::make_shared<PartitionedPreparedPlan>(name(), r, s);
+    if (!r->empty() && !s->empty()) {
+      PartitionedDriverOptions options;
+      options.grid_cols = config().grid_cols;
+      options.grid_rows = config().grid_rows;
+      options.num_threads = config().num_threads;
+      options.tile_join = config().tile_join;
+      auto state = PlanPartitionedCells(*r, *s, options);
+      if (!state.ok()) return state.status();
+      plan->state = std::move(*state);
+    }
+    return plan;
   }
 
-  PartitionedDriver driver_;
+  // The cold Plan's artifact (over the caller's datasets).
+  std::shared_ptr<const PartitionedPreparedPlan> cold_;
 };
 
 // ---------------------------------------------------------------------------
@@ -630,16 +672,22 @@ Status JoinEngine::ExecuteStreaming(const ResultSink& sink, JoinStats* stats,
   }
   JoinResult result;
   SWIFT_RETURN_IF_ERROR(Execute(&result, stats));
-  if (!result.empty()) sink(std::move(result.mutable_pairs()));
+  EmitResult(std::move(result), sink);
   return Status::OK();
 }
 
-Status JoinEngine::ExecutePrepared(const PreparedPlan& plan, JoinResult* out,
-                                   JoinStats* stats) {
-  auto generic = CheckPreparedPlan<GenericPreparedPlan>(*this, plan, out);
+// The generic plan serialises executions behind its lock, so it runs to
+// completion and hands over the finished result.
+Status JoinEngine::ExecutePrepared(const PreparedPlan& plan,
+                                   const ResultSink& sink, JoinStats* stats,
+                                   exec::CancellationToken,
+                                   obs::ResourceAccumulator*) {
+  auto generic = CheckPreparedPlan<GenericPreparedPlan>(*this, plan, sink);
   if (!generic.ok()) return generic.status();
-  *out = JoinResult();
-  return (*generic)->Execute(out, stats);
+  JoinResult result;
+  SWIFT_RETURN_IF_ERROR((*generic)->Execute(&result, stats));
+  EmitResult(std::move(result), sink);
+  return Status::OK();
 }
 
 uint64_t ConfigFingerprint(const EngineConfig& config) {
@@ -712,8 +760,16 @@ Result<JoinRun> RunPreparedJoin(const PreparedPlan& plan,
   // planning the cold path bills here was done once, at Prepare.
   run.timing.plan_seconds = sw.ElapsedSeconds();
   sw.Reset();
+  std::vector<ResultPair>& pairs = run.result.mutable_pairs();
+  const ResultSink collect = [&pairs](std::vector<ResultPair> batch) {
+    if (pairs.empty()) {
+      pairs = std::move(batch);
+    } else {
+      pairs.insert(pairs.end(), batch.begin(), batch.end());
+    }
+  };
   SWIFT_RETURN_IF_ERROR(
-      (*created)->ExecutePrepared(plan, &run.result, &run.stats));
+      (*created)->ExecutePrepared(plan, collect, &run.stats, {}, nullptr));
   run.timing.execute_seconds = sw.ElapsedSeconds();
   return run;
 }

@@ -182,11 +182,6 @@ inline std::shared_ptr<const Dataset> BorrowDataset(const Dataset& d) {
 /// the implementation's field list.)
 uint64_t ConfigFingerprint(const EngineConfig& config);
 
-/// Receives result batches from JoinEngine::ExecuteStreaming. Calls are
-/// never concurrent; batches are non-empty, and their concatenation over a
-/// successful run is exactly the Execute result multiset.
-using ResultSink = std::function<void(std::vector<ResultPair>)>;
-
 /// A spatial-join algorithm behind the two-stage Plan -> Execute interface.
 ///
 /// Lifecycle: create (via EngineRegistry::Create), Plan once, then Execute
@@ -219,11 +214,12 @@ class JoinEngine {
   /// collecting one JoinResult. Must be called after a successful Plan;
   /// `*stats` (when non-null) accumulates. The default runs Execute and
   /// hands over the finished pairs in one batch. Engines that produce
-  /// results incrementally (the simulated device, the cluster) override it
-  /// to deliver each batch as it exists. `cancel` asks the engine to stop
-  /// early (the call then returns Aborted); engines that cannot stop
-  /// mid-run ignore it. `usage` (when non-null) receives per-run costs that
-  /// only the engine sees, such as the cluster's shard retries.
+  /// results incrementally (the grid join, the simulated device, the
+  /// cluster) override it to deliver each batch as it exists. `cancel` asks
+  /// the engine to stop early (the call then returns Aborted); engines that
+  /// cannot stop mid-run ignore it. `usage` (when non-null) receives
+  /// per-run costs that only the engine sees, such as the grid join's task
+  /// CPU or the cluster's shard retries.
   virtual Status ExecuteStreaming(const ResultSink& sink, JoinStats* stats,
                                   exec::CancellationToken cancel,
                                   obs::ResourceAccumulator* usage);
@@ -241,10 +237,15 @@ class JoinEngine {
   /// Runs the join against a previously prepared plan, skipping Plan
   /// entirely -- the steady-state warm path. The plan must have been
   /// prepared for this engine name (InvalidArgument otherwise). Same
-  /// output contract as Execute: `*out` is overwritten, `*stats`
-  /// accumulates; results are bit-identical to a cold Plan + Execute.
-  virtual Status ExecutePrepared(const PreparedPlan& plan, JoinResult* out,
-                                 JoinStats* stats);
+  /// output contract as ExecuteStreaming: batches go to `sink`, `*stats`
+  /// accumulates, `cancel` may cut the run short (Aborted), `usage`
+  /// receives engine-side costs; the result multiset is bit-identical to a
+  /// cold Plan + Execute. `partitioned` and the dist engines stream while
+  /// they run; the rest hand over their finished result in one batch.
+  virtual Status ExecutePrepared(const PreparedPlan& plan,
+                                 const ResultSink& sink, JoinStats* stats,
+                                 exec::CancellationToken cancel,
+                                 obs::ResourceAccumulator* usage);
 
   /// Convenience: Plan + Execute with per-stage timing.
   Result<JoinRun> Run(const Dataset& r, const Dataset& s);
@@ -301,9 +302,9 @@ Result<std::shared_ptr<const PreparedPlan>> PrepareJoin(
     std::shared_ptr<const Dataset> s, const EngineConfig& config = {});
 
 /// Warm-path convenience: instantiate the plan's engine from the global
-/// registry and ExecutePrepared with timing. plan_seconds is what the warm
-/// path saves -- it covers only engine instantiation, not planning, and is
-/// ~0 for every engine.
+/// registry and ExecutePrepared (collected into run.result) with timing.
+/// plan_seconds is what the warm path saves -- it covers only engine
+/// instantiation, not planning, and is ~0 for every engine.
 Result<JoinRun> RunPreparedJoin(const PreparedPlan& plan,
                                 const EngineConfig& config = {});
 

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <utility>
 
-#include "exec/task_graph.h"
+#include "common/sync.h"
+#include "common/thread_pool.h"
+#include "grid/uniform_grid.h"
 
 namespace swiftspatial {
 
@@ -68,6 +70,28 @@ std::size_t PartitionedPlanState::MemoryBytes() const {
   return bytes;
 }
 
+std::vector<PartitionedCell> AssignGridCells(const Dataset& r,
+                                             const Dataset& s,
+                                             const JoinGridSpec& spec) {
+  const UniformGrid grid(spec.extent, spec.cols, spec.rows);
+  std::vector<std::vector<ObjectId>> r_cells = grid.Assign(r);
+  std::vector<std::vector<ObjectId>> s_cells = grid.Assign(s);
+
+  std::vector<PartitionedCell> cells;
+  for (int t = 0; t < grid.num_tiles(); ++t) {
+    if (r_cells[t].empty() || s_cells[t].empty()) continue;
+    PartitionedCell cell;
+    cell.tile = t;
+    // Closing the last row/column of cells keeps reference points that land
+    // exactly on the global boundary claimable (no cell beyond exists).
+    cell.dedup_tile = grid.DedupTileByIndex(t);
+    cell.r_ids = std::move(r_cells[t]);
+    cell.s_ids = std::move(s_cells[t]);
+    cells.push_back(std::move(cell));
+  }
+  return cells;
+}
+
 Result<std::shared_ptr<const PartitionedPlanState>> PlanPartitionedCells(
     const Dataset& r, const Dataset& s,
     const PartitionedDriverOptions& options) {
@@ -90,22 +114,7 @@ Result<std::shared_ptr<const PartitionedPlanState>> PlanPartitionedCells(
   }
   plan->cols = spec.cols;
   plan->rows = spec.rows;
-
-  const UniformGrid grid(spec.extent, plan->cols, plan->rows);
-  std::vector<std::vector<ObjectId>> r_cells = grid.Assign(r);
-  std::vector<std::vector<ObjectId>> s_cells = grid.Assign(s);
-
-  plan->cells.reserve(grid.num_tiles());
-  for (int t = 0; t < grid.num_tiles(); ++t) {
-    if (r_cells[t].empty() || s_cells[t].empty()) continue;
-    PartitionedCell cell;
-    // Closing the last row/column of cells keeps reference points that land
-    // exactly on the global boundary claimable (no cell beyond exists).
-    cell.dedup_tile = grid.DedupTileByIndex(t);
-    cell.r_ids = std::move(r_cells[t]);
-    cell.s_ids = std::move(s_cells[t]);
-    plan->cells.push_back(std::move(cell));
-  }
+  plan->cells = AssignGridCells(r, s, spec);
   // Largest batches first: under dynamic scheduling the expensive cells
   // start early and the small ones backfill, tightening the makespan.
   std::sort(plan->cells.begin(), plan->cells.end(),
@@ -119,60 +128,65 @@ Result<std::shared_ptr<const PartitionedPlanState>> PlanPartitionedCells(
 JoinResult ExecutePartitionedPlan(const PartitionedPlanState& plan,
                                   const Dataset& r, const Dataset& s,
                                   TileJoin tile_join, std::size_t num_threads,
-                                  JoinStats* stats) {
+                                  JoinStats* stats, const ResultSink* sink,
+                                  exec::CancellationToken cancel,
+                                  obs::ResourceAccumulator* usage,
+                                  obs::TraceContext trace) {
   JoinResult merged;
   if (plan.cells.empty()) return merged;
 
+  // Cell joins can be tiny (sparse grids), so cells are batched into
+  // strided groups -- group g joins cells g, g+G, g+2G, ... which keeps the
+  // largest-first ordering balanced across groups -- to amortise the
+  // per-task dispatch cost. Each worker appends into its own accumulator
+  // (no shared state, no locks while joining). The resulting multiset is
+  // independent of thread count and interleaving; only pair order varies
+  // (canonicalise with JoinResult::Sort).
   const std::size_t workers = std::max<std::size_t>(1, num_threads);
+  const std::size_t groups =
+      std::min(plan.cells.size(), workers * kCellTaskGroupsPerWorker);
+  std::vector<JoinResult> local_results(workers);
   std::vector<JoinStats> local_stats(workers);
+  // The ResultSink contract forbids concurrent calls; the lock also makes a
+  // sink that blocks (stream backpressure) hold back every flushing worker.
+  Mutex sink_mu;
+  const auto run_group = [&](std::size_t g, std::size_t w) {
+    for (std::size_t i = g; i < plan.cells.size(); i += groups) {
+      if (cancel.cancelled()) break;
+      const PartitionedCell& cell = plan.cells[i];
+      RunTileJoin(tile_join, r, s, cell.r_ids, cell.s_ids, &cell.dedup_tile,
+                  &local_results[w], &local_stats[w]);
+    }
+    std::vector<ResultPair>& pairs = local_results[w].mutable_pairs();
+    if (sink == nullptr || pairs.empty()) return;
+    MutexLock lock(&sink_mu);
+    (*sink)(std::move(pairs));
+    pairs.clear();
+  };
 
   if (workers == 1) {
     // Inline on the calling thread; no pool, no graph.
-    for (const PartitionedCell& cell : plan.cells) {
-      RunTileJoin(tile_join, r, s, cell.r_ids, cell.s_ids, &cell.dedup_tile,
-                  &merged, &local_stats[0]);
-    }
+    for (std::size_t g = 0; g < groups; ++g) run_group(g, 0);
   } else {
-    // Cells run as one TaskGraph wave with the merge as a downstream task.
-    // Cell joins can be tiny (sparse grids), so cells are batched into
-    // strided groups -- group g joins cells g, g+G, g+2G, ... which keeps
-    // the largest-first ordering balanced across groups -- to amortise the
-    // per-task dispatch cost. Each worker appends into its own accumulator
-    // (no shared state, no locks while joining); the merge concatenates the
-    // per-worker buffers once. The resulting multiset is independent of
-    // thread count and interleaving; only pair order varies (canonicalise
-    // with JoinResult::Sort).
-    std::vector<JoinResult> local_results(workers);
     ThreadPool pool(workers);
-    exec::TaskGraph graph(&pool);
-    const std::size_t groups =
-        std::min(plan.cells.size(), workers * kCellTaskGroupsPerWorker);
-    std::vector<exec::TaskId> cells;
-    cells.reserve(groups);
+    exec::TaskGraph graph(&pool, cancel, trace, usage);
     for (std::size_t g = 0; g < groups; ++g) {
-      cells.push_back(graph.Add([&plan, &r, &s, tile_join, g, groups, &pool,
-                                 &local_results, &local_stats] {
-        const std::size_t w = pool.CurrentWorkerIndex();
-        for (std::size_t i = g; i < plan.cells.size(); i += groups) {
-          const PartitionedCell& cell = plan.cells[i];
-          RunTileJoin(tile_join, r, s, cell.r_ids, cell.s_ids,
-                      &cell.dedup_tile, &local_results[w], &local_stats[w]);
-        }
-      }));
+      graph.Add([&run_group, &pool, g] {
+        run_group(g, pool.CurrentWorkerIndex());
+      });
     }
-    graph.Add(
-        [&merged, &local_results] {
-          std::size_t total = 0;
-          for (const JoinResult& lr : local_results) total += lr.size();
-          merged.Reserve(total);
-          for (JoinResult& lr : local_results) merged.Merge(std::move(lr));
-        },
-        cells);
     graph.Wait();
   }
 
   if (stats != nullptr) {
     for (const JoinStats& ls : local_stats) *stats += ls;
+  }
+  if (sink == nullptr) {
+    if (workers == 1) return std::move(local_results[0]);
+    std::size_t total = 0;
+    for (const JoinResult& lr : local_results) total += lr.size();
+    merged.Reserve(total);
+    for (JoinResult& lr : local_results) merged.Merge(std::move(lr));
   }
   return merged;
 }

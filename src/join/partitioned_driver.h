@@ -3,19 +3,26 @@
 // Both inputs are sharded onto a uniform grid (src/grid/uniform_grid.h,
 // multi-assignment: an object lands in every cell its MBR overlaps); each
 // cell with objects from both sides becomes one batched tile-join task
-// (plane sweep or nested loop); tasks run as one exec::TaskGraph wave on a
-// ThreadPool, with the final merge expressed as a downstream task depending
-// on every cell (largest cells are added first, so they start earliest and
-// the small ones backfill). Cross-cell duplicates -- a pair whose boxes
-// co-occupy several cells -- are eliminated with the PBSM reference-point
-// rule (Box::ReferencePointInTile): the pair is emitted only by the single
-// cell containing the bottom-left corner of the pair's intersection.
+// (plane sweep or nested loop); cells are batched into strided groups that
+// run as one exec::TaskGraph wave on a ThreadPool (largest cells come
+// first, so they start earliest and the small ones backfill). Cross-cell
+// duplicates -- a pair whose boxes co-occupy several cells -- are
+// eliminated with the PBSM reference-point rule (Box::ReferencePointInTile):
+// the pair is emitted only by the single cell containing the bottom-left
+// corner of the pair's intersection.
 //
 // The merge is lock-free on the hot path: every worker appends into its own
 // JoinResult/JoinStats accumulator (no shared state while joining), and the
 // per-worker buffers are concatenated once, after the pool drains. The
 // resulting multiset is therefore independent of the thread count and
 // schedule; only the pair order varies (canonicalise with JoinResult::Sort).
+//
+// The same cell-group loop is the library's one grid join. Given a
+// ResultSink, ExecutePartitionedPlan streams instead of merging: each
+// worker's buffer goes to the sink at every cell-group boundary, which is
+// how `partitioned` streams (JoinEngine::ExecuteStreaming / ExecutePrepared
+// and so exec::RunJoinAsync and exec::JoinService). The cell builder
+// (AssignGridCells) is also what dist::PlanShards turns into shards.
 #ifndef SWIFTSPATIAL_JOIN_PARTITIONED_DRIVER_H_
 #define SWIFTSPATIAL_JOIN_PARTITIONED_DRIVER_H_
 
@@ -24,39 +31,38 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "datagen/dataset.h"
+#include "exec/task_graph.h"
 #include "geometry/box.h"
-#include "grid/uniform_grid.h"
 #include "join/pbsm.h"
 #include "join/result.h"
+#include "obs/resource.h"
+#include "obs/trace.h"
 
 namespace swiftspatial {
 
 /// Default auto-sizing target: objects per grid cell (both sides combined).
-/// Shared by PartitionedDriverOptions and the banded streaming producer so
-/// synchronous and streamed `partitioned` joins plan identical grids.
+/// The default of PartitionedDriverOptions and of DeriveJoinGrid, so the
+/// `partitioned` engine and the dist ShardPlanner plan identical grids.
 inline constexpr std::size_t kDefaultCellPopulation = 128;
 
 /// Cell-task batching factor: cell joins are strided into at most
-/// `workers * kCellTaskGroupsPerWorker` tasks per wave -- enough groups for
-/// dynamic load balancing while amortising per-task dispatch over many
-/// (often tiny) cells. Shared with the streaming executor so the sync and
-/// async paths keep the same dispatch granularity.
+/// `workers * kCellTaskGroupsPerWorker` groups -- enough groups for dynamic
+/// load balancing while amortising per-task dispatch over many (often tiny)
+/// cells. A group boundary is also where a streamed execution hands each
+/// worker's pairs to its sink.
 inline constexpr std::size_t kCellTaskGroupsPerWorker = 8;
 
 /// Side length of the auto-sized square grid: ~`target_cell_population`
-/// objects per cell on average, clamped to [1, 1024]. Shared by the
-/// synchronous driver and the banded streaming executor in exec/streaming
-/// so both paths shard identically.
+/// objects per cell on average, clamped to [1, 1024]. Used by
+/// DeriveJoinGrid, the one grid decision of every grid planner.
 int AutoGridSide(std::size_t total_objects,
                  std::size_t target_cell_population);
 
 /// Fail-fast validation of grid dimensions (0 = auto on both, bounded so
 /// cols * rows cannot overflow int). One definition shared by the
-/// synchronous driver and the banded streaming producer, so synchronous and
-/// streamed `partitioned` joins can never drift apart on which
-/// configurations they accept.
+/// `partitioned` engine and the dist engines, so the grid planners can
+/// never drift apart on which configurations they accept.
 Status ValidateGridConfig(int grid_cols, int grid_rows);
 
 /// One grid decision for a join: the joint extent plus the derived (or
@@ -70,12 +76,12 @@ struct JoinGridSpec {
   int rows = 0;
 };
 
-/// The single authority for sizing a join's uniform grid, shared by every
-/// grid-sharding planner -- the synchronous PartitionedDriver, the banded
-/// streaming executor (exec/streaming), and the distributed ShardPlanner
-/// (dist/shard_planner). Cross-engine shard-id stability depends on all
-/// three deriving the *same* grid for the same inputs; routing them through
-/// one helper makes silent drift impossible. Explicit `grid_cols > 0` wins;
+/// The single authority for sizing a join's uniform grid, shared by both
+/// grid-sharding planners -- PlanPartitionedCells (the `partitioned`
+/// engine, sync or streamed) and the distributed ShardPlanner
+/// (dist/shard_planner). Cross-engine shard-id stability depends on both
+/// deriving the *same* grid for the same inputs; routing them through one
+/// helper makes silent drift impossible. Explicit `grid_cols > 0` wins;
 /// otherwise the grid is auto-sized via AutoGridSide over the combined
 /// cardinality. Callers validate dimensions first (ValidateGridConfig).
 JoinGridSpec DeriveJoinGrid(
@@ -102,10 +108,19 @@ struct PartitionedDriverOptions {
 /// join plus the reference-point dedup tile (cell box, closed at the extent
 /// max per the half-open rule).
 struct PartitionedCell {
+  /// Row-major grid tile index (ty * cols + tx); dist shard ids are these.
+  int tile = 0;
   Box dedup_tile;
   std::vector<ObjectId> r_ids;
   std::vector<ObjectId> s_ids;
 };
+
+/// The one grid-cell builder: assigns both inputs onto the grid of `spec`
+/// (multi-assignment) and returns the cells populated on both sides, in
+/// row-major tile order. Requires spec.has_grid.
+std::vector<PartitionedCell> AssignGridCells(const Dataset& r,
+                                             const Dataset& s,
+                                             const JoinGridSpec& spec);
 
 /// The immutable output of partitioned planning: the derived grid and the
 /// populated cells, largest first. Once built it is never mutated --
@@ -128,14 +143,27 @@ Result<std::shared_ptr<const PartitionedPlanState>> PlanPartitionedCells(
     const Dataset& r, const Dataset& s,
     const PartitionedDriverOptions& options);
 
-/// Joins every cell of a previously built plan. Thread-safe for concurrent
-/// callers sharing one plan: all plan state is read const, each call owns
-/// its accumulators. `r` and `s` must be the datasets the plan was built
-/// from; `stats` may be null.
+/// Joins every cell of a previously built plan: strided cell groups on one
+/// exec::TaskGraph over `num_threads` workers (inline on the caller when
+/// num_threads == 1). Thread-safe for concurrent callers sharing one plan:
+/// all plan state is read const, each call owns its accumulators. `r` and
+/// `s` must be the datasets the plan was built from; `stats` may be null.
+///
+/// Without a sink the per-worker buffers are merged once and returned.
+/// With a non-null `sink` nothing is returned: each worker hands its pairs
+/// to the sink at every cell-group boundary (calls serialised, so the sink
+/// may block, e.g. on stream backpressure). `cancel` skips unstarted groups
+/// and stops running ones between cells -- the caller checks it afterwards
+/// to tell a cut-short run from a complete one. `usage` receives the task
+/// CPU and queue wait; `trace` parents the per-task spans.
 JoinResult ExecutePartitionedPlan(const PartitionedPlanState& plan,
                                   const Dataset& r, const Dataset& s,
                                   TileJoin tile_join, std::size_t num_threads,
-                                  JoinStats* stats);
+                                  JoinStats* stats,
+                                  const ResultSink* sink = nullptr,
+                                  exec::CancellationToken cancel = {},
+                                  obs::ResourceAccumulator* usage = nullptr,
+                                  obs::TraceContext trace = {});
 
 /// Two-stage partition-parallel join driver. Plan shards the inputs onto the
 /// grid; Execute joins the populated cells on `num_threads` workers and

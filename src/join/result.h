@@ -5,6 +5,7 @@
 #define SWIFTSPATIAL_JOIN_RESULT_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "datagen/dataset.h"
@@ -26,6 +27,12 @@ struct ResultPair {
   }
 };
 static_assert(sizeof(ResultPair) == 8, "pair must match the DRAM layout");
+
+/// Receives result batches from a streaming join (JoinEngine::
+/// ExecuteStreaming / ExecutePrepared, ExecutePartitionedPlan). Calls are
+/// never concurrent; batches are non-empty, and their concatenation over a
+/// successful run is exactly the collected result multiset.
+using ResultSink = std::function<void(std::vector<ResultPair>)>;
 
 /// Accumulates join results. Multi-threaded joins give each worker its own
 /// JoinResult and merge at the end.

@@ -124,13 +124,14 @@ TEST(ShardPlanner, AutoGridAndEmptyAndInvalidInputs) {
                           PlacementPolicy::kRoundRobin).ok());
 }
 
-// All grid-sharding planners must derive the *identical* grid for the same
-// inputs -- shard-id stability across the synchronous PartitionedDriver,
-// the banded streaming executor, and the distributed ShardPlanner depends
-// on it. This pins the consolidation of the three formerly-duplicated
-// auto-sizing call sites behind DeriveJoinGrid: the helper's decision and
-// both planners' decisions must agree, for auto-sized and explicit grids,
-// across input scales.
+// Both grid-sharding planners must derive the *identical* grid and cells for
+// the same inputs -- shard-id stability between the `partitioned` engine
+// (PlanPartitionedCells, sync or streamed) and the distributed ShardPlanner
+// depends on it. This pins the shared grid decision (DeriveJoinGrid) and
+// the shared cell builder (AssignGridCells): the helper's decision and both
+// planners' decisions must agree, and every shard must carry exactly the id
+// lists and dedup tile of the partitioned plan's cell for the same tile,
+// for auto-sized and explicit grids, across input scales.
 TEST(ShardPlanner, GridDecisionIdenticalAcrossAllPlanners) {
   struct Case {
     uint64_t scale;
@@ -161,6 +162,19 @@ TEST(ShardPlanner, GridDecisionIdenticalAcrossAllPlanners) {
     EXPECT_EQ(shard_plan->grid_cols, spec.cols)
         << "scale=" << c.scale << " cols=" << c.cols;
     EXPECT_EQ(shard_plan->grid_rows, spec.rows);
+
+    // Tile by tile: the same populated cells with the same id lists.
+    const std::vector<PartitionedCell>& cells = driver.plan_state()->cells;
+    ASSERT_EQ(shard_plan->shards.size(), cells.size());
+    for (const Shard& shard : shard_plan->shards) {
+      const auto cell = std::find_if(
+          cells.begin(), cells.end(),
+          [&shard](const PartitionedCell& c) { return c.tile == shard.id; });
+      ASSERT_NE(cell, cells.end()) << "shard " << shard.id;
+      EXPECT_EQ(shard.r_ids, cell->r_ids) << "shard " << shard.id;
+      EXPECT_EQ(shard.s_ids, cell->s_ids) << "shard " << shard.id;
+      EXPECT_EQ(shard.dedup_tile, cell->dedup_tile) << "shard " << shard.id;
+    }
   }
 
   // Empty inputs: one shared "no grid" decision.

@@ -400,11 +400,11 @@ TEST(JoinService, SequentialCollectOfConcurrentDenseStreamsDoesNotDeadlock) {
   options.stream.queue_capacity = 2;
   JoinService service(options);
 
-  // Both requests run concurrently on the shared pool; the consumer
-  // collects strictly sequentially, so B backs up against its bounded
-  // queue while A is drained. Pool workers must never park on B's
-  // backpressure (shared-pool streams stage in worker slots instead), or
-  // A could starve and this test would deadlock.
+  // Both requests run concurrently, each on its own dispatcher and
+  // workers; the consumer collects strictly sequentially, so B backs up
+  // against its bounded queue while A is drained. B's backpressure must
+  // stall only B -- nothing A needs may wait on it, or this test would
+  // deadlock.
   auto a = service.Submit("a", kPartitionedEngine, dense_r, dense_s);
   auto b = service.Submit("b", kPartitionedEngine, dense_r, dense_s);
   ASSERT_TRUE(a.ok());
@@ -680,6 +680,31 @@ TEST(JoinService, SubmitNamedServesWarmRequestsFromThePlanCache) {
   EXPECT_EQ(stats.plan_cache.hits, static_cast<std::size_t>(kRequests - 1));
   EXPECT_EQ(stats.plan_cache.entries, 1u);
   EXPECT_GT(stats.plan_cache.resident_bytes, 0u);
+}
+
+// Warm requests are accounted like cold ones: the engine's task graph runs
+// against the request's accumulator, so the service sees its tasks and CPU.
+TEST(JoinService, WarmRequestsReportTaskCpu) {
+#ifdef SWIFTSPATIAL_OBS_OFF
+  GTEST_SKIP() << "observability compiled out (SWIFTSPATIAL_OBS_OFF)";
+#endif
+  JoinServiceOptions options;
+  options.worker_threads = 4;
+  JoinService service(options);
+  service.RegisterDataset("r", testutil::Uniform(600, 98));
+  service.RegisterDataset("s", testutil::Uniform(600, 99));
+  EngineConfig config;
+  config.num_threads = 2;
+  auto handle =
+      service.SubmitNamed("tenant", kPartitionedEngine, "r", "s", config);
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  StreamSummary summary = handle->Collect();
+  ASSERT_TRUE(summary.status.ok()) << summary.status.ToString();
+  ASSERT_FALSE(summary.run.result.empty());
+  service.Drain();
+  const JoinServiceStats stats = service.Snapshot();
+  EXPECT_GT(stats.resources.tasks, 0u);
+  EXPECT_GT(stats.resources.cpu_seconds, 0.0);
 }
 
 TEST(JoinService, SubmitNamedFailsFastForUnknownNamesAndEngines) {

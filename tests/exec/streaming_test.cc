@@ -181,7 +181,7 @@ TEST(Streaming, ChunksHaveConsecutiveSequencesAndBoundedSize) {
         << name;
   }
 
-  // The warm path streams its finished result through the same stager.
+  // The warm path streams ExecutePrepared output through the same stager.
   DatasetRegistry registry;
   registry.Put("r", r);
   registry.Put("s", s);
@@ -234,30 +234,44 @@ TEST(Streaming, MidStreamCancellationDeliversWellDefinedPrefix) {
   StreamOptions stream;
   stream.chunk_pairs = 64;
   stream.queue_capacity = 2;
-  auto handle = RunJoinAsync(kPartitionedEngine, r, s, config, stream);
-  ASSERT_TRUE(handle.ok());
+  DatasetRegistry registry;
+  registry.Put("r", r);
+  registry.Put("s", s);
+  for (const bool warm : {false, true}) {
+    SCOPED_TRACE(warm ? "warm" : "cold");
+    auto handle =
+        warm ? RunJoinAsync(registry, kPartitionedEngine, "r", "s", config,
+                            stream)
+             : RunJoinAsync(kPartitionedEngine, r, s, config, stream);
+    ASSERT_TRUE(handle.ok());
 
-  // Take one chunk, then cancel. With >> capacity chunks outstanding the
-  // producer cannot have finished, so the stream must end Aborted.
-  ResultChunk chunk;
-  ASSERT_TRUE(handle->Next(&chunk));
-  EXPECT_EQ(chunk.sequence, 0u);
-  handle->Cancel();
-  StreamSummary summary = handle->Collect();
-  EXPECT_EQ(summary.status.code(), StatusCode::kAborted)
-      << summary.status.ToString();
+    // Take one chunk, then cancel. With >> capacity chunks outstanding the
+    // producer cannot have finished, so the stream must end Aborted.
+    ResultChunk chunk;
+    ASSERT_TRUE(handle->Next(&chunk));
+    EXPECT_EQ(chunk.sequence, 0u);
+    handle->Cancel();
+    StreamSummary summary = handle->Collect();
+    EXPECT_EQ(summary.status.code(), StatusCode::kAborted)
+        << summary.status.ToString();
 
-  // The prefix is well-defined: what we saw plus what Collect drained is a
-  // strict sub-multiset of the full result -- genuine pairs, no duplicates.
-  std::vector<ResultPair> delivered = chunk.pairs;
-  delivered.insert(delivered.end(), summary.run.result.pairs().begin(),
-                   summary.run.result.pairs().end());
-  std::sort(delivered.begin(), delivered.end());
-  EXPECT_TRUE(
-      std::includes(full.begin(), full.end(), delivered.begin(),
-                    delivered.end()))
-      << "cancelled stream delivered pairs outside the true result";
-  EXPECT_LT(delivered.size(), full.size());
+    // The prefix is well-defined: what we saw plus what Collect drained is
+    // a strict sub-multiset of the full result -- genuine pairs, no
+    // duplicates.
+    std::vector<ResultPair> delivered = chunk.pairs;
+    delivered.insert(delivered.end(), summary.run.result.pairs().begin(),
+                     summary.run.result.pairs().end());
+    std::sort(delivered.begin(), delivered.end());
+    EXPECT_TRUE(
+        std::includes(full.begin(), full.end(), delivered.begin(),
+                      delivered.end()))
+        << "cancelled stream delivered pairs outside the true result";
+    EXPECT_LT(delivered.size(), full.size());
+    // The join itself stopped early: unstarted cell groups were skipped,
+    // not joined and then dropped.
+    EXPECT_LT(summary.run.stats.predicate_evaluations,
+              sync->stats.predicate_evaluations);
+  }
 }
 
 TEST(Streaming, DroppingHandleMidStreamLeaksNothing) {
@@ -313,32 +327,12 @@ TEST(Streaming, MalformedGeometrySurfacesThroughWait) {
   EXPECT_EQ(handle->Wait().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(Streaming, ExplicitShardCountStreamsIdenticalResult) {
-  const Dataset r = testutil::Uniform(500, 51);
-  const Dataset s = testutil::Skewed(500, 52);
-  EngineConfig config;
-  config.num_threads = 2;
-  auto sync = RunJoin(kPartitionedEngine, r, s, config);
-  ASSERT_TRUE(sync.ok());
-  for (const int shards : {1, 2, 7, 64}) {
-    StreamOptions stream;
-    stream.num_shards = shards;
-    auto handle = RunJoinAsync(kPartitionedEngine, r, s, config, stream);
-    ASSERT_TRUE(handle.ok());
-    StreamSummary summary = handle->Collect();
-    ASSERT_TRUE(summary.status.ok()) << summary.status.ToString();
-    EXPECT_TRUE(JoinResult::SameMultiset(sync->result, summary.run.result))
-        << "shards=" << shards;
-  }
-}
-
-TEST(Streaming, DeferredStreamRunsOnCallerThreadAndSharedPool) {
+TEST(Streaming, DeferredStreamRunsOnCallerThread) {
   const Dataset r = testutil::Uniform(300, 61);
   const Dataset s = testutil::Uniform(300, 62);
-  ThreadPool pool(4);
   EngineConfig config;
   config.num_threads = 4;
-  auto deferred = MakeJoinStream(kPartitionedEngine, r, s, config, {}, &pool);
+  auto deferred = MakeJoinStream(kPartitionedEngine, r, s, config);
   ASSERT_TRUE(deferred.ok());
   std::thread runner(std::move(deferred->producer));
   StreamSummary summary = deferred->handle.Collect();

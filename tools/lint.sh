@@ -231,15 +231,20 @@ if [ -n "$stderr_hits" ]; then
 fi
 
 # --- Check 7: engine/streaming layering -----------------------------------
+# streaming.cc reaches every engine through JoinEngine alone: it includes no
+# engine, grid or tile-join header and names no engine.
 layer_hits=$( {
-  grep -nE '#include "(join/accel_engine|dist/dist_engine)\.h"' \
+  grep -nE '#include "(join/accel_engine|dist/dist_engine|join/partitioned_driver|join/pbsm)\.h"|#include "grid/' \
     src/exec/streaming.cc | sed 's|^|src/exec/streaming.cc:|'
+  grep -nE 'kPartitionedEngine' src/exec/streaming.cc \
+    | sed 's|^|src/exec/streaming.cc:|'
   grep -rnE '#include "exec/(streaming|service)\.h"' src/join \
     --include='*.h' --include='*.cc'
 } || true)
 if [ -n "$layer_hits" ]; then
   echo "FAIL: engine/streaming layering. src/exec/streaming.cc reaches"
-  echo "engines only through JoinEngine, and src/join/ never includes the"
+  echo "engines only through JoinEngine (no engine, grid or tile-join"
+  echo "include, no engine name), and src/join/ never includes the"
   echo "streaming or serving layer:"
   echo
   echo "$layer_hits"
