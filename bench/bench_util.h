@@ -127,6 +127,7 @@ struct EngineTiming {
   double plan_seconds = 0;            ///< index/partition build (untimed cost)
   double median_execute_seconds = 0;  ///< median of `reps` Execute calls
   uint64_t results = 0;
+  JoinStats stats;  ///< predicate/task counters of the last Execute call
 };
 
 /// One warmup run plus `reps` timed runs; returns the median seconds.
@@ -146,9 +147,9 @@ inline double MedianSeconds(const std::function<void()>& fn, int reps = 3) {
 /// Benchmarks engine `name` from the global registry: Plan once (timed
 /// separately, as the paper prices index builds apart from the join), then
 /// one warmup + `reps` timed Execute calls. The join result of the last run
-/// is moved into `last_result` when non-null. Errors (unknown engine,
-/// invalid config, unsupported input kind) propagate as Status so harnesses
-/// can skip inapplicable rows.
+/// is moved into `last_result` when non-null, and its JoinStats are kept in
+/// the returned timing. Errors (unknown engine, invalid config, unsupported
+/// input kind) propagate as Status so harnesses can skip inapplicable rows.
 inline Result<EngineTiming> TimeEngine(const std::string& name,
                                        const EngineConfig& config,
                                        const Dataset& r, const Dataset& s,
@@ -164,7 +165,8 @@ inline Result<EngineTiming> TimeEngine(const std::string& name,
   Status exec_status;
   timing.median_execute_seconds = MedianSeconds(
       [&] {
-        Status st = (*engine)->Execute(&out, nullptr);
+        timing.stats = JoinStats{};
+        Status st = (*engine)->Execute(&out, &timing.stats);
         if (!st.ok()) exec_status = std::move(st);
       },
       reps);

@@ -7,6 +7,7 @@
 // threads; FPGA latency includes host transfers; baselines assume data and
 // indexes already resident.
 #include <cstdio>
+#include <optional>
 
 #include "bench/bench_util.h"
 #include "common/table_printer.h"
@@ -37,6 +38,7 @@ void RunCase(const BenchEnv& env, WorkloadShape shape, JoinKind kind,
     const char* system;
     double seconds;
     uint64_t results;
+    std::optional<uint64_t> predicates;  // CPU rows only
   };
   std::vector<Row> rows;
 
@@ -46,14 +48,14 @@ void RunCase(const BenchEnv& env, WorkloadShape shape, JoinKind kind,
     cfg.num_join_units = env.units;
     const auto report = hw::Accelerator(cfg).RunSyncTraversal(rt, st);
     rows.push_back({"SwiftSpatial SyncTrav (sim)", report.total_seconds,
-                    report.num_results});
+                    report.num_results, std::nullopt});
   }
   {
     hw::AcceleratorConfig cfg;
     cfg.num_join_units = env.units;
     const auto report = hw::Accelerator(cfg).RunPbsm(in.r, in.s, partition);
-    rows.push_back(
-        {"SwiftSpatial PBSM (sim)", report.total_seconds, report.num_results});
+    rows.push_back({"SwiftSpatial PBSM (sim)", report.total_seconds,
+                    report.num_results, std::nullopt});
   }
 
   // --- CPU baselines through the unified engine registry. As in the paper,
@@ -83,8 +85,8 @@ void RunCase(const BenchEnv& env, WorkloadShape shape, JoinKind kind,
       SkipRow(baseline.label, timing.status());
       continue;
     }
-    rows.push_back(
-        {baseline.label, timing->median_execute_seconds, timing->results});
+    rows.push_back({baseline.label, timing->median_execute_seconds,
+                    timing->results, timing->stats.predicate_evaluations});
   }
 
   // Best CPU baseline anchors the speedup column, as in the paper.
@@ -96,11 +98,17 @@ void RunCase(const BenchEnv& env, WorkloadShape shape, JoinKind kind,
     table->AddRow({ShapeName(shape), JoinName(kind), std::to_string(scale),
                    row.system, Ms(row.seconds),
                    Speedup(best_cpu, row.seconds),
-                   std::to_string(row.results)});
+                   std::to_string(row.results),
+                   row.predicates ? std::to_string(*row.predicates) : "-"});
+    std::vector<std::pair<std::string, double>> metrics = {
+        {"latency_seconds", row.seconds},
+        {"results", static_cast<double>(row.results)}};
+    if (row.predicates) {
+      metrics.emplace_back("predicates", static_cast<double>(*row.predicates));
+    }
     json->AddRow(std::string(ShapeName(shape)) + "/" + JoinName(kind) + "/" +
                      std::to_string(scale) + "/" + row.system,
-                 {{"latency_seconds", row.seconds},
-                  {"results", static_cast<double>(row.results)}});
+                 std::move(metrics));
   }
 }
 
@@ -113,7 +121,7 @@ int Main(int argc, char** argv) {
 
   TablePrinter table("Fig. 8 -- end-to-end spatial join latency",
                      {"dataset", "join", "scale", "system", "latency_ms",
-                      "vs_best_cpu", "results"});
+                      "vs_best_cpu", "results", "predicates"});
   JsonReporter json("fig08_end_to_end", env);
   for (const uint64_t scale : env.scales) {
     for (const WorkloadShape shape :

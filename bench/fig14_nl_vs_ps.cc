@@ -96,7 +96,7 @@ int Main(int argc, char** argv) {
           [&] {
             for (int i = 0; i < inner; ++i) {
               JoinResult out;
-              PlaneSweepTileJoin(r, s, r_ids, s_ids, nullptr, &out);
+              PlaneSweepTileJoin(r, s, r_ids, s_ids, Axis::kX, nullptr, &out);
               results = out.size();
             }
           },

@@ -70,7 +70,7 @@ void BM_PlaneSweepTile(benchmark::State& state) {
   const auto r_ids = AllIds(r), s_ids = AllIds(s);
   for (auto _ : state) {
     JoinResult out;
-    PlaneSweepTileJoin(r, s, r_ids, s_ids, nullptr, &out);
+    PlaneSweepTileJoin(r, s, r_ids, s_ids, Axis::kX, nullptr, &out);
     benchmark::DoNotOptimize(out.size());
   }
 }

@@ -53,10 +53,11 @@ int Main(int argc, char** argv) {
       const auto hier = PartitionHierarchical(in.r, in.s, hp);
       const double hier_sec = sw.ElapsedSeconds();
 
-      // Flat 1-D partition (CPU PBSM path).
+      // Flat 1-D partition (CPU PBSM path), on as many threads as the STR
+      // build.
       sw.Reset();
-      const StripePartition stripes = PartitionStripes(in.r, in.s, 1024,
-                                                       Axis::kX);
+      const StripePartition stripes =
+          PartitionStripes(in.r, in.s, 1024, Axis::kX, env.cpu_threads);
       const double part_sec = sw.ElapsedSeconds();
       (void)stripes;
 

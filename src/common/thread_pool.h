@@ -102,6 +102,18 @@ void ParallelForWorker(
     const std::function<void(std::size_t index, std::size_t worker)>& body,
     std::size_t chunk = 1);
 
+/// Runs `body(worker, begin, end)` once for each worker 0..num_workers-1,
+/// each on its own thread, over contiguous, near-equal ranges that cover
+/// [0, n) in worker order. `num_workers == 1` executes inline.
+template <typename Body>
+void ParallelForRanges(std::size_t n, std::size_t num_workers,
+                       const Body& body) {
+  ParallelFor(num_workers, num_workers, Schedule::kStatic,
+              [&](std::size_t w) {
+                body(w, n * w / num_workers, n * (w + 1) / num_workers);
+              });
+}
+
 }  // namespace swiftspatial
 
 #endif  // SWIFTSPATIAL_COMMON_THREAD_POOL_H_

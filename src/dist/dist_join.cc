@@ -40,8 +40,8 @@ ShardExecutor MakeCpuExecutor(const Dataset& r, const Dataset& s,
                              double* device_seconds) -> Status {
     (void)device_seconds;
     JoinResult local;
-    RunTileJoin(tile_join, r, s, shard.r_ids, shard.s_ids, &shard.dedup_tile,
-                &local, stats);
+    RunTileJoin(tile_join, Axis::kX, r, s, shard.r_ids, shard.s_ids,
+                &shard.dedup_tile, &local, stats);
     *pairs = std::move(local.mutable_pairs());
     return Status::OK();
   };

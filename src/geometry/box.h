@@ -78,6 +78,22 @@ struct Box {
   }
 };
 
+/// A coordinate axis: PBSM's stripe axis and the plane sweep's sweep axis.
+enum class Axis { kX, kY };
+
+/// The axis orthogonal to `axis`.
+constexpr Axis OtherAxis(Axis axis) {
+  return axis == Axis::kX ? Axis::kY : Axis::kX;
+}
+
+/// The box's lower and upper bound along `axis`.
+inline Coord MinOn(const Box& b, Axis axis) {
+  return axis == Axis::kX ? b.min_x : b.min_y;
+}
+inline Coord MaxOn(const Box& b, Axis axis) {
+  return axis == Axis::kX ? b.max_x : b.max_y;
+}
+
 /// MBR intersection test: the predicate evaluated by the hardware join unit.
 inline bool Intersects(const Box& r, const Box& s) {
   return r.max_x >= s.min_x && s.max_x >= r.min_x && r.max_y >= s.min_y &&

@@ -3,7 +3,9 @@
 #ifndef SWIFTSPATIAL_GEOMETRY_POINT_H_
 #define SWIFTSPATIAL_GEOMETRY_POINT_H_
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace swiftspatial {
 
@@ -19,6 +21,16 @@ struct Point {
     return a.x == b.x && a.y == b.y;
   }
 };
+
+/// Maps a coordinate onto an unsigned integer with the same order: for
+/// non-NaN a and b, a < b iff OrderKey(a) < OrderKey(b). -0.0 and +0.0
+/// compare equal as floats, so both map to the key of +0.0. Sorting keys as
+/// integers is then sorting coordinates.
+inline uint32_t OrderKey(Coord v) {
+  if (v == 0) v = 0;
+  const uint32_t bits = std::bit_cast<uint32_t>(v);
+  return (bits & 0x80000000u) != 0 ? ~bits : bits | 0x80000000u;
+}
 
 /// Euclidean distance between two points.
 inline double Distance(const Point& a, const Point& b) {

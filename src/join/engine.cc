@@ -169,8 +169,8 @@ class PlaneSweepEngine : public EngineBase {
 
   Status ExecuteImpl(const Dataset& r, const Dataset& s, JoinResult* out,
                      JoinStats* stats) override {
-    PlaneSweepTileJoin(r, s, r_ids_, s_ids_, /*dedup_tile=*/nullptr, out,
-                       stats);
+    PlaneSweepTileJoin(r, s, r_ids_, s_ids_, Axis::kX, /*dedup_tile=*/nullptr,
+                       out, stats);
     return Status::OK();
   }
 

@@ -72,6 +72,8 @@ struct EngineConfig {
   // --- Partition engines (pbsm, partitioned). ---
   /// pbsm: number of 1-D stripes.
   int num_partitions = 1024;
+  /// pbsm: the axis the stripes divide; each stripe is plane-swept along the
+  /// other axis (PbsmOptions::axis). Grid cells always sweep along x.
   Axis axis = Axis::kX;
   /// Tile-level join inside each stripe / grid cell.
   TileJoin tile_join = TileJoin::kPlaneSweep;

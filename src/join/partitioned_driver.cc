@@ -154,8 +154,9 @@ JoinResult ExecutePartitionedPlan(const PartitionedPlanState& plan,
     for (std::size_t i = g; i < plan.cells.size(); i += groups) {
       if (cancel.cancelled()) break;
       const PartitionedCell& cell = plan.cells[i];
-      RunTileJoin(tile_join, r, s, cell.r_ids, cell.s_ids, &cell.dedup_tile,
-                  &local_results[w], &local_stats[w]);
+      // Grid cells are near-square, so either sweep axis does as well.
+      RunTileJoin(tile_join, Axis::kX, r, s, cell.r_ids, cell.s_ids,
+                  &cell.dedup_tile, &local_results[w], &local_stats[w]);
     }
     std::vector<ResultPair>& pairs = local_results[w].mutable_pairs();
     if (sink == nullptr || pairs.empty()) return;

@@ -20,13 +20,14 @@ const char* TileJoinToString(TileJoin t) {
   return "unknown";
 }
 
-void RunTileJoin(TileJoin tile_join, const Dataset& r, const Dataset& s,
-                 const std::vector<ObjectId>& r_ids,
+void RunTileJoin(TileJoin tile_join, Axis sweep_axis, const Dataset& r,
+                 const Dataset& s, const std::vector<ObjectId>& r_ids,
                  const std::vector<ObjectId>& s_ids, const Box* dedup_tile,
                  JoinResult* out, JoinStats* stats) {
   switch (tile_join) {
     case TileJoin::kPlaneSweep:
-      PlaneSweepTileJoin(r, s, r_ids, s_ids, dedup_tile, out, stats);
+      PlaneSweepTileJoin(r, s, r_ids, s_ids, sweep_axis, dedup_tile, out,
+                         stats);
       break;
     case TileJoin::kNestedLoop:
       NestedLoopTileJoin(r, s, r_ids, s_ids, dedup_tile, out, stats);
@@ -39,7 +40,8 @@ void RunTileJoin(TileJoin tile_join, const Dataset& r, const Dataset& s,
 
 StripePartition PbsmPartition(const Dataset& r, const Dataset& s,
                               const PbsmOptions& options) {
-  return PartitionStripes(r, s, options.num_partitions, options.axis);
+  return PartitionStripes(r, s, options.num_partitions, options.axis,
+                          options.num_threads);
 }
 
 JoinResult PbsmJoin(const Dataset& r, const Dataset& s,
@@ -47,6 +49,8 @@ JoinResult PbsmJoin(const Dataset& r, const Dataset& s,
                     const PbsmOptions& options, JoinStats* stats) {
   const std::size_t n = partition.stripes.size();
   const std::size_t threads = std::max<std::size_t>(1, options.num_threads);
+  // One-dimensional PBSM: partition on one axis, sweep along the other.
+  const Axis sweep_axis = OtherAxis(partition.axis);
 
   struct WorkerState {
     JoinResult result;
@@ -62,7 +66,7 @@ JoinResult PbsmJoin(const Dataset& r, const Dataset& s,
         if (r_ids.empty() || s_ids.empty()) return;
         const Box& tile = partition.stripes[i];
         WorkerState& state = workers[w];
-        RunTileJoin(options.tile_join, r, s, r_ids, s_ids, &tile,
+        RunTileJoin(options.tile_join, sweep_axis, r, s, r_ids, s_ids, &tile,
                     &state.result, &state.stats);
       },
       /*chunk=*/1);

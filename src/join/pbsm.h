@@ -1,7 +1,8 @@
 // Partition-Based Spatial-Merge join (Patel & DeWitt [57], Algorithm 3):
-// the CPU baseline of §5.1. Data is partitioned into 1-D stripes; each
-// stripe is joined independently (plane sweep by default, nested loop as an
-// ablation), with duplicate results suppressed by the reference-point rule.
+// the CPU baseline of §5.1. Data is partitioned into 1-D stripes along one
+// axis; each stripe is joined independently (by default a plane sweep along
+// the other axis, i.e. along the stripe; nested loop and the SIMD kernel as
+// ablations), with duplicate results suppressed by the reference-point rule.
 //
 // Partitioning and joining are deliberately separate entry points: the
 // paper's end-to-end numbers assume pre-partitioned data, while Table 2
@@ -30,18 +31,21 @@ const char* TileJoinToString(TileJoin t);
 
 /// Runs one tile-level join of (r_ids x s_ids) with algorithm `tile_join`,
 /// appending qualifying pairs to `out` (duplicates suppressed against
-/// `dedup_tile` when non-null). The single dispatch point shared by every
-/// partition-based driver: PBSM stripes, the grid-sharded PartitionedDriver,
-/// and the async streaming executor in exec/.
-void RunTileJoin(TileJoin tile_join, const Dataset& r, const Dataset& s,
-                 const std::vector<ObjectId>& r_ids,
+/// `dedup_tile` when non-null). `sweep_axis` is the plane sweep's axis; the
+/// other tile joins ignore it. The single dispatch point shared by every
+/// partition-based driver: PBSM stripes (sweeping along the stripe), the
+/// uniform grid's cells and the dist/ shards (both sweeping along x).
+void RunTileJoin(TileJoin tile_join, Axis sweep_axis, const Dataset& r,
+                 const Dataset& s, const std::vector<ObjectId>& r_ids,
                  const std::vector<ObjectId>& s_ids, const Box* dedup_tile,
                  JoinResult* out, JoinStats* stats);
 
 struct PbsmOptions {
   /// Number of 1-D stripes. The paper sweeps 1e2..1e5 and reports the best.
   int num_partitions = 1024;
-  /// Partition along x and sweep along y, or vice versa.
+  /// The axis the stripes divide. With kX the stripes are equal-width
+  /// vertical bands and each is plane-swept along y, its long side; with kY
+  /// they are horizontal bands swept along x.
   Axis axis = Axis::kX;
   std::size_t num_threads = 1;
   Schedule schedule = Schedule::kDynamic;

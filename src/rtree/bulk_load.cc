@@ -1,7 +1,6 @@
 #include "rtree/bulk_load.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <future>
@@ -24,16 +23,6 @@ std::size_t ThreadsFor(std::size_t entries, std::size_t num_threads) {
                                        : std::max<std::size_t>(1, num_threads);
 }
 
-// Runs body(lo, hi) over `num_threads` contiguous, near-equal ranges that
-// cover [0, n), one range per thread.
-template <typename Body>
-void ForEachRange(std::size_t n, std::size_t num_threads, Body body) {
-  ParallelFor(num_threads, num_threads, Schedule::kStatic,
-              [&](std::size_t t) {
-                body(n * t / num_threads, n * (t + 1) / num_threads);
-              });
-}
-
 // Sort keys: a 32-bit order key in the high half, the entry's index within
 // its level in the low half. Entry ids grow with the index (object ids at
 // the leaves, global node indices above), so ordering keys as integers is
@@ -44,15 +33,8 @@ uint64_t SortKey(uint32_t order_key, std::size_t index) {
 
 uint32_t IndexOf(uint64_t key) { return static_cast<uint32_t>(key); }
 
-// STR's order key for one axis: the doubled centre lo + hi, mapped to an
-// unsigned integer with the same order as the float comparison. -0.0 and
-// +0.0 compare equal as floats, so both map to the key of +0.0.
-uint32_t CentreKey(Coord lo, Coord hi) {
-  Coord c = lo + hi;
-  if (c == 0) c = 0;
-  const uint32_t bits = std::bit_cast<uint32_t>(c);
-  return (bits & 0x80000000u) != 0 ? ~bits : bits | 0x80000000u;
-}
+// STR's order key for one axis: the doubled centre lo + hi.
+uint32_t CentreKey(Coord lo, Coord hi) { return OrderKey(lo + hi); }
 
 // Reorders `keys` so that, for every position c in the ascending `cuts`,
 // the keys before c are exactly the c smallest. Each piece between two cuts
@@ -228,11 +210,13 @@ class BulkLoader {
       const std::size_t threads = ThreadsFor(n, options.num_threads);
       if (level.str_tiled) {
         order.resize(n);
-        ForEachRange(n, threads, [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            order[i] = SortKey(CentreKey(boxes[i].min_x, boxes[i].max_x), i);
-          }
-        });
+        ParallelForRanges(
+            n, threads, [&](std::size_t, std::size_t lo, std::size_t hi) {
+              for (std::size_t i = lo; i < hi; ++i) {
+                order[i] =
+                    SortKey(CentreKey(boxes[i].min_x, boxes[i].max_x), i);
+              }
+            });
         std::vector<std::size_t> cuts;
         for (std::size_t s = 1; s < level.slabs.size(); ++s) {
           cuts.push_back(level.slabs[s].begin);
@@ -299,24 +283,26 @@ PackedRTree HilbertBulkLoad(const Dataset& dataset,
   const std::size_t n = dataset.size();
   const std::size_t threads = ThreadsFor(n, options.num_threads);
   std::vector<uint64_t> order(n);
-  ForEachRange(n, threads, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const Point c = dataset.box(i).Center();
-      const uint32_t gx = static_cast<uint32_t>(
-          (static_cast<double>(c.x) - extent.min_x) * sx);
-      const uint32_t gy = static_cast<uint32_t>(
-          (static_cast<double>(c.y) - extent.min_y) * sy);
-      order[i] = SortKey(
-          static_cast<uint32_t>(HilbertD2XYInverse(kOrder, gx, gy)), i);
-    }
-  });
+  ParallelForRanges(
+      n, threads, [&](std::size_t, std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          const Point c = dataset.box(i).Center();
+          const uint32_t gx = static_cast<uint32_t>(
+              (static_cast<double>(c.x) - extent.min_x) * sx);
+          const uint32_t gy = static_cast<uint32_t>(
+              (static_cast<double>(c.y) - extent.min_y) * sy);
+          order[i] = SortKey(
+              static_cast<uint32_t>(HilbertD2XYInverse(kOrder, gx, gy)), i);
+        }
+      });
   // Sort: cut into one rank range per thread, then sort the ranges.
   std::vector<std::size_t> cuts;
   for (std::size_t t = 1; t < threads; ++t) cuts.push_back(n * t / threads);
   SelectCuts(&order, cuts, threads);
-  ForEachRange(n, threads, [&](std::size_t lo, std::size_t hi) {
-    std::sort(order.begin() + lo, order.begin() + hi);
-  });
+  ParallelForRanges(
+      n, threads, [&](std::size_t, std::size_t lo, std::size_t hi) {
+        std::sort(order.begin() + lo, order.begin() + hi);
+      });
   return BulkLoader::Build(dataset.boxes(), /*str=*/false, std::move(order),
                            options);
 }

@@ -48,6 +48,74 @@ TEST_P(StripeAxisTest, EveryObjectInItsOverlappingStripes) {
   check(s, p.s_parts);
 }
 
+// Parallel assignment must reproduce the one-thread partition exactly: the
+// same stripes and, per stripe, the same ids in the same order.
+void ExpectSameAtAnyThreadCount(const Dataset& r, const Dataset& s,
+                                int num_partitions, Axis axis) {
+  const StripePartition serial = PartitionStripes(r, s, num_partitions, axis);
+  for (const std::size_t threads : {2u, 3u, 4u, 7u}) {
+    SCOPED_TRACE(testing::Message()
+                 << threads << " threads, " << num_partitions
+                 << " stripes on axis " << (axis == Axis::kX ? "x" : "y"));
+    const StripePartition parallel =
+        PartitionStripes(r, s, num_partitions, axis, threads);
+    EXPECT_EQ(parallel.axis, serial.axis);
+    EXPECT_EQ(parallel.stripes, serial.stripes);
+    EXPECT_EQ(parallel.r_parts, serial.r_parts);
+    EXPECT_EQ(parallel.s_parts, serial.s_parts);
+  }
+}
+
+TEST_P(StripeAxisTest, ParallelAssignmentMatchesSerialUniform) {
+  const Dataset r = testutil::Uniform(20000, 16, 1000.0, /*max_edge=*/20.0);
+  const Dataset s = testutil::Uniform(15000, 17, 1000.0, /*max_edge=*/20.0);
+  ExpectSameAtAnyThreadCount(r, s, 64, GetParam());
+  ExpectSameAtAnyThreadCount(r, s, 1024, GetParam());
+}
+
+TEST_P(StripeAxisTest, ParallelAssignmentMatchesSerialOnFloatRoundedEdges) {
+  // Points exactly on stripe edges that are not float-representable (the
+  // Pbsm.ObjectsOnFloatRoundedStripeEdges input).
+  const Axis axis = GetParam();
+  for (const int partitions : {7, 10, 13}) {
+    std::vector<Box> boxes = {Box(0, 0, 0, 0), Box(1, 1, 1, 1)};
+    const double width = 1.0 / partitions;
+    for (int p = 1; p < partitions; ++p) {
+      const Coord edge = static_cast<Coord>(p * width);
+      boxes.push_back(axis == Axis::kX ? Box(edge, 0.5f, edge, 0.5f)
+                                       : Box(0.5f, edge, 0.5f, edge));
+    }
+    const Dataset r("edges_r", std::vector<Box>(boxes));
+    const Dataset s("edges_s", std::move(boxes));
+    ExpectSameAtAnyThreadCount(r, s, partitions, axis);
+  }
+}
+
+TEST_P(StripeAxisTest, ParallelAssignmentMatchesSerialOnCollidedEdges) {
+  // Above 2^24 runs of stripe edges collapse onto one float (the
+  // Pbsm.CollidedFloatStripeEdgesFarFromOrigin input).
+  const Axis axis = GetParam();
+  const Coord base = 16777216.0f;  // 2^24
+  std::vector<Box> pts;
+  for (int i = 0; i <= 4; ++i) {
+    const Coord big = base + static_cast<Coord>(2 * i);
+    const Coord small = static_cast<Coord>(i);
+    pts.push_back(axis == Axis::kX ? Box(big, small, big, small)
+                                   : Box(small, big, small, big));
+  }
+  const Dataset r("ulp_r", std::vector<Box>(pts));
+  const Dataset s("ulp_s", std::move(pts));
+  ExpectSameAtAnyThreadCount(r, s, 512, axis);
+}
+
+TEST(PartitionStripes, ParallelAssignmentWithFewerObjectsThanThreads) {
+  const Dataset r("few_r", {Box(0, 0, 5, 5), Box(4, 4, 9, 9)});
+  const Dataset s("few_s", {Box(1, 1, 2, 2), Box(3, 0, 8, 1), Box(6, 6, 6, 6)});
+  const Dataset empty("empty", {});
+  ExpectSameAtAnyThreadCount(r, s, 4, Axis::kX);
+  ExpectSameAtAnyThreadCount(r, empty, 4, Axis::kY);
+}
+
 INSTANTIATE_TEST_SUITE_P(Axes, StripeAxisTest,
                          ::testing::Values(Axis::kX, Axis::kY));
 

@@ -220,6 +220,36 @@ TEST(Pbsm, ZeroWidthExtentAlongPartitionAxis) {
   EXPECT_TRUE(JoinResult::SameMultiset(expected, got));
 }
 
+TEST(Pbsm, SweepRunsAlongTheStripe) {
+  // Sparse, isotropic unit-sized squares in 64 stripes two units wide. A
+  // sweep across a stripe (along the partition axis) keeps most of the
+  // stripe active and degrades towards a nested loop; a sweep along the
+  // stripe holds only the objects near the sweep line. Both stripe axes
+  // must sweep along the stripe, so they cost about the same, and a small
+  // multiple of the pair count.
+  const Dataset r = testutil::Uniform(4000, 110, 128.0, /*max_edge=*/1.0);
+  const Dataset s = testutil::Uniform(4000, 111, 128.0, /*max_edge=*/1.0);
+  JoinResult expected = BruteForceJoin(r, s);
+  ASSERT_GT(expected.size(), 500u);
+
+  uint64_t predicates[2] = {0, 0};
+  for (const Axis axis : {Axis::kX, Axis::kY}) {
+    PbsmOptions opt;
+    opt.num_partitions = 64;
+    opt.axis = axis;
+    JoinStats stats;
+    JoinResult got = PbsmSpatialJoin(r, s, opt, &stats);
+    EXPECT_TRUE(JoinResult::SameMultiset(expected, got));
+    const uint64_t evaluated = stats.predicate_evaluations;
+    EXPECT_LT(evaluated, 4 * expected.size())
+        << "stripes on " << (axis == Axis::kX ? "x" : "y") << ": " << evaluated
+        << " predicates for " << expected.size() << " pairs";
+    predicates[axis == Axis::kX ? 0 : 1] = evaluated;
+  }
+  EXPECT_LE(predicates[0], 2 * predicates[1]);
+  EXPECT_LE(predicates[1], 2 * predicates[0]);
+}
+
 TEST(TileJoinToString, Names) {
   EXPECT_STREQ(TileJoinToString(TileJoin::kPlaneSweep), "plane-sweep");
   EXPECT_STREQ(TileJoinToString(TileJoin::kNestedLoop), "nested-loop");
